@@ -3,9 +3,10 @@
 //!
 //! Two restart paths over the same durable store:
 //!
-//! * **store-rebuild** (this PR): recover the store, rebuild the tenant
-//!   snapshot from its delta stream alone (`rebuild_tenant`), answer the
-//!   first Status Query. Sees every acked ingest.
+//! * **store-rebuild**: recover the store, bulk-build the tenant
+//!   snapshot from its rows alone in durable-row-id order
+//!   (`rebuild_tenant`), answer the first Status Query. Sees every acked
+//!   ingest.
 //! * **extract-reload** (the old path): recover the store for
 //!   durability, rebuild the snapshot from the extracts
 //!   (`TenantSnapshot::from_dataset`), answer the first query. Blind to
@@ -13,8 +14,10 @@
 //!   a *baseline*, not an alternative.
 //!
 //! The store-rebuild arm is bit-identity-gated first: its aggregates
-//! must equal a from-scratch snapshot over the store's own rows. Each
-//! timing column reports its minimum over `--runs` repetitions.
+//! must equal, to the bit, the live snapshot that acked the same rows
+//! (the extracts' snapshot plus every ingest applied through
+//! `ingest_batch`). Each timing column reports its minimum over `--runs`
+//! repetitions.
 //!
 //! ```text
 //! bench_restart [--scales 1,4] [--ingests N] [--runs N] [--out FILE]
@@ -24,13 +27,14 @@ use domd_bench::util::{scaled_dataset, time_ms};
 use domd_data::rcc::{Rcc, RccId, RccStatus};
 use domd_data::{logical_time, Dataset};
 use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc, StatusQuery};
-use domd_serve::{rebuild_tenant, TenantSnapshot};
+use domd_serve::{rebuild_tenant, IngestRow, TenantSnapshot};
 use std::path::{Path, PathBuf};
 
 /// Builds the restart scenario: a full-payload (v2) store initialized
 /// from the extracts plus `ingests` acked v2 rows in the WAL — the disk
-/// state a killed serving process leaves behind.
-fn build_store(dir: &Path, ds: &Dataset, ingests: usize) {
+/// state a killed serving process leaves behind. Returns the ingested
+/// rows in ack order.
+fn build_store(dir: &Path, ds: &Dataset, ingests: usize) -> Vec<IngestRow> {
     let _ = std::fs::remove_dir_all(dir);
     let projected = project_dataset(ds);
     let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
@@ -43,6 +47,7 @@ fn build_store(dir: &Path, ds: &Dataset, ingests: usize) {
     di.set_checkpoint_every(None);
     let base = projected.len() as u32;
     let next_rcc = ds.rccs().iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+    let mut acked = Vec::with_capacity(ingests);
     for k in 0..ingests {
         let template = &ds.rccs()[k % ds.rccs().len()];
         let a = ds.avail(template.avail).expect("template avail exists");
@@ -55,8 +60,17 @@ fn build_store(dir: &Path, ds: &Dataset, ingests: usize) {
             end: logical_time(rcc.settled, a.actual_start, planned),
         };
         assert!(di.insert_full(&logical, &rcc).expect("ingest row"), "duplicate ingest id");
+        acked.push(IngestRow {
+            avail: rcc.avail,
+            rcc_type: rcc.rcc_type,
+            swlin: rcc.swlin,
+            created: rcc.created,
+            settled: rcc.settled,
+            amount: rcc.amount,
+        });
     }
     di.sync().expect("sync");
+    acked
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -70,7 +84,7 @@ fn dir_bytes(dir: &Path) -> u64 {
 
 /// The "first answer" a restarted server produces: one Status Query
 /// aggregate, fingerprinted for the identity gate.
-fn first_answer(snap: &TenantSnapshot) -> (usize, u64) {
+fn first_answer(snap: &TenantSnapshot) -> (usize, u64, u64) {
     let q = StatusQuery {
         rcc_type: None,
         swlin_prefix: None,
@@ -78,7 +92,7 @@ fn first_answer(snap: &TenantSnapshot) -> (usize, u64) {
         t_star: 60.0,
     };
     let agg = snap.engine.aggregate(&q);
-    (agg.count, agg.sum_amount.to_bits())
+    (agg.count, agg.sum_amount.to_bits(), agg.sum_duration.to_bits())
 }
 
 struct ScaleResult {
@@ -114,28 +128,23 @@ fn bench_scale(scale: u32, ingests: usize, runs: usize) -> ScaleResult {
     let ds = scaled_dataset(scale);
     let dir = std::env::temp_dir()
         .join(format!("domd-bench-restart-{}-{scale}", std::process::id()));
-    build_store(&dir, &ds, ingests);
+    let acked = build_store(&dir, &ds, ingests);
     let store_bytes = dir_bytes(&dir);
 
     // Bit-identity gate: the store-rebuild snapshot must answer exactly
-    // like a from-scratch snapshot over the store's own rows.
+    // like the live snapshot that acked the same rows.
     let (index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
     let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
     assert_eq!(summary.from_store, index.len(), "store must rebuild from its own payloads");
-    let reference_rccs: Vec<Rcc> = index
-        .entries_full()
-        .into_iter()
-        .map(|s| s.rcc.expect("full payload"))
-        .collect();
-    let reference =
-        TenantSnapshot::from_dataset(Dataset::new(ds.avails().to_vec(), reference_rccs));
+    let mut live = TenantSnapshot::from_dataset(ds.clone());
+    live.ingest_batch(&acked).expect("live ingest");
     assert_eq!(
         first_answer(&rebuilt),
-        first_answer(&reference),
-        "store-rebuild answers diverged from from-scratch at scale {scale}"
+        first_answer(&live),
+        "store-rebuild answers diverged from the live epoch at scale {scale}"
     );
     let rows = index.len();
-    drop((index, rebuilt));
+    drop((index, rebuilt, live));
 
     let mut recover_ms = f64::INFINITY;
     let mut rebuild_ms = f64::INFINITY;

@@ -5,7 +5,7 @@
 //! only touches amounts and durations still drags whole records through the
 //! cache. The arena stores each attribute in its own contiguous column —
 //! ids, avail, type, SWLIN (interned to a dense `u32` symbol), created /
-//! settled as `i32` day offsets from a common base date, settled amount,
+//! settled as `i32` day numbers, settled amount,
 //! and the logical projection (`t*_start`, `t*_end` of Equation 1) — so hot
 //! loops stream exactly the columns they need and indexes hold `u32` row
 //! ids into the arena instead of owned or cloned records.
@@ -14,7 +14,7 @@
 //! `f64` values [`project_dataset`] produces (they are taken verbatim, or
 //! computed with the identical `domd_data::logical_time` call on `push`),
 //! and `duration(row)` reproduces `f64::from(rcc.duration_days())` exactly
-//! because day offsets subtract to the same integer.
+//! because the day numbers subtract to the same integer.
 
 use crate::types::{HeapSize, LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
@@ -25,11 +25,9 @@ use domd_data::rcc::{Rcc, RccType, Swlin};
 
 use crate::types::project_dataset;
 
-/// Struct-of-arrays RCC table with interned SWLINs and day-offset dates.
+/// Struct-of-arrays RCC table with interned SWLINs and day-number dates.
 #[derive(Debug, Clone)]
 pub struct RccArena {
-    /// Base date; `created`/`settled` are day offsets from it.
-    base: Date,
     /// External RCC identifier per row.
     rcc_ids: Vec<u32>,
     /// Owning avail per row.
@@ -42,9 +40,9 @@ pub struct RccArena {
     swlin_table: Vec<u32>,
     /// Packed SWLIN code → symbol (the interner).
     intern: FxHashMap<u32, u32>,
-    /// Creation date as days since `base` (may be negative).
+    /// Creation date as a day number ([`Date::days`]).
     created: Vec<i32>,
-    /// Settled date as days since `base`.
+    /// Settled date as a day number.
     settled: Vec<i32>,
     /// Settled amount ($) per row.
     amounts: Vec<f64>,
@@ -69,25 +67,38 @@ impl RccArena {
     pub fn from_projected(dataset: &Dataset, projected: &[LogicalRcc]) -> Self {
         let rccs = dataset.rccs();
         assert_eq!(rccs.len(), projected.len(), "projection must cover the RCC table");
-        let base = rccs.iter().map(|r| r.created).min().unwrap_or(Date::from_days(0));
-        let mut arena = RccArena {
-            base,
-            rcc_ids: Vec::with_capacity(rccs.len()),
-            avails: Vec::with_capacity(rccs.len()),
-            types: Vec::with_capacity(rccs.len()),
-            swlin_syms: Vec::with_capacity(rccs.len()),
-            swlin_table: Vec::new(),
-            intern: FxHashMap::default(),
-            created: Vec::with_capacity(rccs.len()),
-            settled: Vec::with_capacity(rccs.len()),
-            amounts: Vec::with_capacity(rccs.len()),
-            starts: Vec::with_capacity(rccs.len()),
-            ends: Vec::with_capacity(rccs.len()),
-        };
+        let mut arena = Self::with_capacity(rccs.len());
         for (r, lr) in rccs.iter().zip(projected) {
             arena.push_columns(r, lr.start, lr.end);
         }
         arena
+    }
+
+    /// Builds the arena from `(rcc, owning avail)` rows, row `i` being
+    /// `rows[i]`, projecting each exactly as [`Self::push`] does.
+    pub fn from_rows(rows: &[(Rcc, &Avail)]) -> Self {
+        let mut arena = Self::with_capacity(rows.len());
+        for (rcc, avail) in rows {
+            arena.push(rcc, avail);
+        }
+        arena
+    }
+
+    /// An empty arena sized for `n` rows.
+    fn with_capacity(n: usize) -> Self {
+        RccArena {
+            rcc_ids: Vec::with_capacity(n),
+            avails: Vec::with_capacity(n),
+            types: Vec::with_capacity(n),
+            swlin_syms: Vec::with_capacity(n),
+            swlin_table: Vec::new(),
+            intern: FxHashMap::default(),
+            created: Vec::with_capacity(n),
+            settled: Vec::with_capacity(n),
+            amounts: Vec::with_capacity(n),
+            starts: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+        }
     }
 
     /// Appends one RCC, computing its logical projection from `avail`
@@ -116,8 +127,8 @@ impl RccArena {
         self.avails.push(r.avail);
         self.types.push(r.rcc_type);
         self.swlin_syms.push(sym);
-        self.created.push(r.created - self.base);
-        self.settled.push(r.settled - self.base);
+        self.created.push(r.created.days());
+        self.settled.push(r.settled.days());
         self.amounts.push(r.amount);
         self.starts.push(start);
         self.ends.push(end);
@@ -133,7 +144,7 @@ impl RccArena {
         assert_eq!(self.avails[row as usize], avail.id, "row must belong to the given avail");
         let old = self.logical(row);
         let planned = avail.planned_duration().max(1);
-        self.settled[row as usize] = settled - self.base;
+        self.settled[row as usize] = settled.days();
         self.ends[row as usize] = domd_data::logical_time(settled, avail.actual_start, planned);
         old
     }
@@ -182,12 +193,12 @@ impl RccArena {
 
     /// Creation date of `row`.
     pub fn created(&self, row: RowId) -> Date {
-        self.base + self.created[row as usize]
+        Date::from_days(self.created[row as usize])
     }
 
     /// Settled date of `row`.
     pub fn settled(&self, row: RowId) -> Date {
-        self.base + self.settled[row as usize]
+        Date::from_days(self.settled[row as usize])
     }
 
     /// Settled amount ($) of `row`.
@@ -196,7 +207,7 @@ impl RccArena {
     }
 
     /// Duration in days of `row` as `f64`; bit-identical to
-    /// `f64::from(rcc.duration_days())` because the day offsets subtract to
+    /// `f64::from(rcc.duration_days())` because the day numbers subtract to
     /// the same integer.
     pub fn duration(&self, row: RowId) -> f64 {
         f64::from(self.settled[row as usize] - self.created[row as usize])
@@ -349,12 +360,7 @@ mod tests {
     fn push_matches_from_dataset() {
         let ds = dataset();
         let bulk = RccArena::from_dataset(&ds);
-        let mut grown = RccArena::from_projected(
-            &Dataset::default(),
-            &[],
-        );
-        // Same base as the bulk arena so day offsets agree.
-        grown.base = bulk.base;
+        let mut grown = RccArena::from_dataset(&Dataset::default());
         for r in ds.rccs() {
             let a = ds.avail(r.avail).expect("avail exists");
             grown.push(r, a);
@@ -364,6 +370,32 @@ mod tests {
             assert_eq!(grown.created(row), bulk.created(row));
             assert_eq!(grown.start(row).to_bits(), bulk.start(row).to_bits());
             assert_eq!(grown.end(row).to_bits(), bulk.end(row).to_bits());
+        }
+    }
+
+    #[test]
+    fn from_rows_keeps_the_given_order() {
+        let ds = dataset();
+        let bulk = RccArena::from_dataset(&ds);
+        // Reverse order: row i of the arena is rows[i], whatever the order.
+        let rows: Vec<(Rcc, &Avail)> = ds
+            .rccs()
+            .iter()
+            .rev()
+            .map(|r| (r.clone(), ds.avail(r.avail).expect("avail exists")))
+            .collect();
+        let arena = RccArena::from_rows(&rows);
+        assert_eq!(arena.len(), bulk.len());
+        assert_eq!(arena.n_symbols(), bulk.n_symbols());
+        let n = bulk.len() as RowId;
+        for row in 0..n {
+            let src = n - 1 - row;
+            assert_eq!(arena.rcc_id(row), bulk.rcc_id(src));
+            assert_eq!(arena.swlin(row), bulk.swlin(src));
+            assert_eq!(arena.created(row), bulk.created(src));
+            assert_eq!(arena.duration(row).to_bits(), bulk.duration(src).to_bits());
+            assert_eq!(arena.start(row).to_bits(), bulk.start(src).to_bits());
+            assert_eq!(arena.end(row).to_bits(), bulk.end(src).to_bits());
         }
     }
 

@@ -32,7 +32,6 @@
 //! *durable epoch* that survives rebuilds (the inner index's epoch restarts
 //! at zero whenever `I::build` runs).
 
-use crate::delta::RccDelta;
 use crate::traits::MaintainableIndex;
 use crate::types::{LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
@@ -66,8 +65,8 @@ pub struct StoredRow {
     pub rcc: Option<Rcc>,
 }
 
-/// Why [`DurableIndex::rebuild_deltas`] could not produce a complete
-/// delta stream from the store.
+/// Why [`DurableIndex::rebuild_rows`] could not return every live row
+/// with its full payload.
 #[derive(Debug, Clone)]
 pub enum RebuildError {
     /// A live row carries no full RCC payload and the caller's v1
@@ -571,19 +570,21 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         Ok(upgraded)
     }
 
-    /// Emits the live rows as the PR 8 [`RccDelta`] insert stream, in the
-    /// dataset's canonical `(avail, created, rcc id)` order — applying
-    /// these to an empty engine reproduces, bit for bit, the snapshot a
-    /// from-scratch build over the same rows produces. `resolve_v1`
+    /// The live rows as full RCCs paired with their owning avails, in
+    /// ascending durable row id — the map's own order, so nothing is
+    /// sorted. Durable ids are the extract positions followed by acked
+    /// rows in ack order, which is exactly the order a live server pushed
+    /// them into its arena; building a snapshot from the rows in this
+    /// order reproduces the live epoch bit for bit. `resolve_v1`
     /// supplies full payloads for projection-only rows (pass `|_| None`
     /// for a strict log-only rebuild); `avail_of` maps each owning avail
     /// id to the caller's `Avail` row.
-    pub fn rebuild_deltas(
+    pub fn rebuild_rows<'a>(
         &self,
         resolve_v1: impl Fn(&LogicalRcc) -> Option<Rcc>,
-        avail_of: impl Fn(AvailId) -> Option<Avail>,
-    ) -> Result<Vec<RccDelta>, RebuildError> {
-        let mut rows: Vec<(Rcc, Avail)> = Vec::with_capacity(self.entries.len());
+        avail_of: impl Fn(AvailId) -> Option<&'a Avail>,
+    ) -> Result<Vec<(Rcc, &'a Avail)>, RebuildError> {
+        let mut rows = Vec::with_capacity(self.entries.len());
         for stored in self.entries.values() {
             let logical = &stored.logical;
             let rcc = match &stored.rcc {
@@ -606,8 +607,7 @@ impl<I: MaintainableIndex> DurableIndex<I> {
             })?;
             rows.push((rcc, avail));
         }
-        rows.sort_by_key(|(r, _)| (r.avail, r.created, r.id));
-        Ok(rows.into_iter().map(|(rcc, avail)| RccDelta::Insert { rcc, avail }).collect())
+        Ok(rows)
     }
 
     /// Number of live entries.
@@ -1076,15 +1076,21 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_deltas_orders_by_avail_created_id() {
-        let d = dir("deltas");
+    fn rebuild_rows_returns_live_rows_in_row_id_order() {
+        let d = dir("rows");
+        // Created dates descend with the id, so (avail, created) order
+        // and row-id order disagree: the rows must come back by id.
         let seed: Vec<(LogicalRcc, Rcc)> =
             (0..10).map(|i| full_pair(i, f64::from(10 - i), f64::from(10 - i) + 5.0)).collect();
-        let di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(&d, seed).unwrap();
-        let avail_row = |id: AvailId| {
-            Some(Avail {
-                id,
-                ship: domd_data::avail::ShipId(id.0),
+        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(&d, seed).unwrap();
+        di.set_checkpoint_every(None);
+        assert!(di.remove(4).unwrap());
+        let (l, r) = full_pair(12, 0.5, 3.0);
+        assert!(di.insert_full(&l, &r).unwrap());
+        let avails: Vec<Avail> = (0..5)
+            .map(|id| Avail {
+                id: AvailId(id),
+                ship: domd_data::avail::ShipId(id),
                 plan_start: Date::from_days(0),
                 plan_end: Date::from_days(100),
                 actual_start: Date::from_days(0),
@@ -1097,31 +1103,32 @@ mod tests {
                     prior_avg_delay: 5.0,
                 },
             })
-        };
-        let deltas = di.rebuild_deltas(|_| None, avail_row).unwrap();
-        assert_eq!(deltas.len(), 10);
-        let keys: Vec<(AvailId, Date, RccId)> = deltas
-            .iter()
-            .map(|dlt| match dlt {
-                RccDelta::Insert { rcc, .. } => (rcc.avail, rcc.created, rcc.id),
-                other => panic!("rebuild emits inserts only, got {other:?}"),
-            })
             .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "deltas must arrive in dataset canonical order");
+        let avail_row = |id: AvailId| avails.iter().find(|a| a.id == id);
+        let rows = di.rebuild_rows(|_| None, avail_row).unwrap();
+        let ids: Vec<u32> = rows.iter().map(|(rcc, _)| rcc.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 5, 6, 7, 8, 9, 12], "live rows in row-id order");
+        for (rcc, avail) in &rows {
+            assert_eq!(avail.id, rcc.avail, "each row carries its owning avail");
+        }
         // A projection-only row without a resolver is a typed error...
-        let d2 = dir("deltas-v1");
+        let d2 = dir("rows-v1");
         let mut v1: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d2, &seed_rccs(2)).unwrap();
-        let e = v1.rebuild_deltas(|_| None, avail_row).unwrap_err();
+        let e = v1.rebuild_rows(|_| None, avail_row).unwrap_err();
         assert!(matches!(e, RebuildError::MissingFull { .. }), "{e}");
         assert!(e.to_string().contains("migrate-store"), "{e}");
+        // ...a resolved payload naming another avail is a mismatch...
+        let elsewhere =
+            |l: &LogicalRcc| Some(Rcc { avail: AvailId(l.avail.0 + 1), ..full_rcc(l.id, 0, 5) });
+        let e = v1.rebuild_rows(elsewhere, avail_row).unwrap_err();
+        assert!(matches!(e, RebuildError::AvailMismatch { .. }), "{e}");
         // ...and an unknown avail is diagnosed as such.
         let e = v1
-            .rebuild_deltas(|l| Some(full_rcc(l.id, 0, 5)), |_| None)
+            .rebuild_rows(|l| Some(full_rcc(l.id, 0, 5)), |_| None)
             .unwrap_err();
         assert!(matches!(e, RebuildError::UnknownAvail { .. }), "{e}");
         let _ = v1.sync();
+        let _ = di.sync();
         std::fs::remove_dir_all(&d).unwrap();
         std::fs::remove_dir_all(&d2).unwrap();
     }

@@ -129,14 +129,15 @@ impl SwlinTree {
     }
 
     /// The contiguous entry range of the hierarchy node `prefix` at depth
-    /// `len` digits (e.g. `prefix=434, len=3` for subtree "434").
+    /// `len` digits (e.g. `prefix=434, len=3` for subtree "434"); `u64`
+    /// bounds make a prefix wider than `len` digits match nothing.
     pub fn range_for_prefix(&self, prefix: u32, len: u32) -> &[(u32, RowId)] {
         assert!((1..=8).contains(&len), "SWLIN depth must be 1..=8");
-        let unit = 10u32.pow(8 - len);
-        let lo = prefix * unit;
+        let unit = 10u64.pow(8 - len);
+        let lo = u64::from(prefix) * unit;
         let hi = lo + unit; // exclusive
-        let start = self.entries.partition_point(|&(w, _)| w < lo);
-        let end = self.entries.partition_point(|&(w, _)| w < hi);
+        let start = self.entries.partition_point(|&(w, _)| u64::from(w) < lo);
+        let end = self.entries.partition_point(|&(w, _)| u64::from(w) < hi);
         &self.entries[start..end]
     }
 
@@ -257,6 +258,13 @@ mod tests {
         assert!(!t.remove(w("434-11-001"), 0), "double remove rejected");
         assert_eq!(t.ids_for_prefix(4, 1), vec![2]);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn over_wide_prefix_matches_nothing() {
+        let t = SwlinTree::build([(w("434-11-001"), 0), (w("999-99-999"), 1)]);
+        assert!(t.ids_for_prefix(43_411_001, 5).is_empty());
+        assert!(t.ids_for_prefix(u32::MAX, 1).is_empty());
     }
 
     #[test]

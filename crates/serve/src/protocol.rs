@@ -116,8 +116,11 @@ pub fn parse_line(
                         }
                         None => (v, 8),
                     };
+                    if !(1..=8).contains(&len) {
+                        return Err(DomdError::config(format!("bad swlin len {len}; use 1..=8")));
+                    }
                     let swlin: domd_data::Swlin = code.parse().map_err(DomdError::config)?;
-                    Ok((swlin.packed(), len))
+                    Ok((swlin.packed() / 10u32.pow(8 - len), len)) // the node's len-digit prefix
                 })
                 .transpose()?;
             Op::Status(StatusQuery { rcc_type, swlin_prefix, status, t_star })
@@ -429,7 +432,54 @@ mod tests {
     fn status_swlin_prefix_parses_code_and_len() {
         let r = parse_line("status t=10 swlin=123-45-678:5", 1, 0, 100).unwrap().unwrap();
         let Op::Status(q) = r.op else { panic!("expected status") };
-        assert_eq!(q.swlin_prefix, Some((12_345_678, 5)));
+        assert_eq!(q.swlin_prefix, Some((12_345, 5)));
+        let r = parse_line("status t=10 swlin=123-45-678", 1, 0, 100).unwrap().unwrap();
+        let Op::Status(q) = r.op else { panic!("expected status") };
+        assert_eq!(q.swlin_prefix, Some((12_345_678, 8)));
+    }
+
+    /// Every depth 1..=8 of a parsed `swlin=CODE:LEN` selects exactly
+    /// the rows whose code starts with the same `LEN` digits — checked
+    /// against a brute-force digit-string filter, with and without a
+    /// type predicate.
+    #[test]
+    fn status_swlin_depths_match_a_brute_force_filter() {
+        use crate::state::TenantSnapshot;
+        use domd_data::{generate, GeneratorConfig};
+        let ds = generate(&GeneratorConfig { n_avails: 8, target_rccs: 600, scale: 1, seed: 17 });
+        let snap = TenantSnapshot::from_dataset(ds);
+        let arena = snap.engine.arena();
+        let digits = |row: u32| format!("{:08}", arena.swlin(row).packed());
+        for probe in [0u32, 97, 311, 599] {
+            let code = digits(probe);
+            for len in 1..=8usize {
+                for (t, ty) in [(1e6, ""), (60.0, ""), (60.0, " type=G")] {
+                    let line = format!("status t={t} status=created{ty} swlin={code}:{len}");
+                    let r = parse_line(&line, 1, 0, 100).unwrap().unwrap();
+                    let Op::Status(q) = r.op else { panic!("expected status") };
+                    let unfiltered = StatusQuery { swlin_prefix: None, ..q };
+                    let want: Vec<u32> = snap
+                        .engine
+                        .execute(&unfiltered)
+                        .into_iter()
+                        .filter(|&row| digits(row)[..len] == code[..len])
+                        .collect();
+                    if t == 1e6 {
+                        assert!(want.contains(&probe), "{line}: the probe row matches");
+                    }
+                    assert_eq!(snap.engine.execute(&q), want, "{line}");
+                    assert_eq!(snap.engine.aggregate(&q).count, want.len(), "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn status_swlin_depth_outside_1_to_8_is_refused() {
+        for line in ["status t=10 swlin=123-45-678:0", "status t=10 swlin=123-45-678:9"] {
+            let e = parse_line(line, 1, 0, 100).unwrap_err();
+            assert_eq!(e.kind(), "config", "{line}");
+        }
     }
 
     #[test]

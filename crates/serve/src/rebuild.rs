@@ -4,14 +4,11 @@
 //!
 //! The durable store is the system of record for `domd serve`: every
 //! acked ingest wrote a v2 WAL record carrying the row's *full* RCC
-//! fields (type, SWLIN, created/settled, amount) before the epoch that
-//! served it was published. Recovery therefore replays the store into a
-//! set of [`StoredRow`]s, and this module converts those rows into the
-//! PR 8 [`RccDelta`](domd_index::RccDelta) stream and applies it to an
-//! empty snapshot — yielding a dataset arena and engine aggregates that
-//! are **bit-identical** to a from-scratch build over the same rows (the
-//! deltas are emitted in the `Dataset::new` sort order, so arena
-//! positions match exactly).
+//! fields before the epoch that served it was published. The rebuild is
+//! one bulk pass over the recovered rows in ascending durable row id —
+//! the extract positions, then acked rows in ack order, i.e. the live
+//! server's own arena order — so the snapshot is **bit-identical** to the
+//! live epoch that acked the rows, `f64` aggregate sums included.
 //!
 //! Rows written by a pre-v2 store carry only their logical projection.
 //! [`resolve_v1_row`] upgrades such a row from the extracts when the row
@@ -21,8 +18,9 @@
 //! `domd migrate-store` — never a silent guess.
 
 use domd_core::DomdError;
+use domd_data::hash::FxHashMap;
 use domd_data::rcc::Rcc;
-use domd_data::Dataset;
+use domd_data::{Avail, AvailId, Dataset};
 use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc};
 
 use crate::state::TenantSnapshot;
@@ -66,10 +64,10 @@ pub fn resolve_v1_row(
 }
 
 /// Rebuilds one tenant's serving snapshot from its recovered store: the
-/// store's rows become an insert-delta stream (v1 rows resolved against
-/// the extracts via [`resolve_v1_row`]) applied to an empty snapshot
-/// over the extracts' avails. The result serves exactly the rows the
-/// store acked — including rows the extracts have never seen.
+/// store's rows, in durable-row-id order (v1 rows resolved against the
+/// extracts via [`resolve_v1_row`]), bulk-build a snapshot over the
+/// extracts' avails. The result serves exactly the rows the store acked
+/// — including rows the extracts have never seen.
 ///
 /// Fails with [`DomdError::Corrupt`] (exit 9) when a v1 row cannot be
 /// resolved or a row references an avail the extracts lack: serving
@@ -80,26 +78,25 @@ pub fn rebuild_tenant(
     index: &DurableIndex<FlatAvlIndex>,
 ) -> Result<(TenantSnapshot, RebuildSummary), DomdError> {
     let projected = project_dataset(ds);
-    let deltas = index
-        .rebuild_deltas(
+    let avails: FxHashMap<AvailId, &Avail> = ds.avails().iter().map(|a| (a.id, a)).collect();
+    let rows = index
+        .rebuild_rows(
             |logical| resolve_v1_row(ds, &projected, logical),
-            |avail| ds.avail(avail).cloned(),
+            |avail| avails.get(&avail).copied(),
         )
         .map_err(|e| DomdError::Corrupt {
             context: index.store_dir().display().to_string(),
             offset: None,
             message: format!("cannot rebuild the serving snapshot from the store: {e}"),
         })?;
-    let rows = index.len();
     let from_store = index.full_rows();
     let summary = RebuildSummary {
-        rows,
+        rows: rows.len(),
         from_store,
-        from_extracts: rows - from_store,
-        matches_extracts: index.entries() == projected,
+        from_extracts: rows.len() - from_store,
+        matches_extracts: rows.len() == projected.len() && index.entries() == projected,
     };
-    let snap = TenantSnapshot::rebuild_from_deltas(ds.avails().to_vec(), &deltas);
-    Ok((snap, summary))
+    Ok((TenantSnapshot::from_rows(ds.avails().to_vec(), rows), summary))
 }
 
 #[cfg(test)]

@@ -48,28 +48,15 @@ impl TenantSnapshot {
         TenantSnapshot { dataset: Arc::new(dataset), engine, next_rcc }
     }
 
-    /// Rebuilds epoch 0 from a recovered store's delta stream instead of
-    /// extract rows: starts from an RCC-less dataset over `avails` and
-    /// replays `deltas` (the store's live rows as [`RccDelta::Insert`]s
-    /// in dataset-canonical order) through the same incremental engine
-    /// path ingest uses. Because the deltas arrive in the exact order
-    /// `Dataset::new` sorts to, the arena, the engine aggregates, and the
-    /// merged dataset are all bit-identical to a from-scratch
-    /// [`Self::from_dataset`] over the same rows — the `serve_restart`
-    /// suite holds that equivalence across kill points.
-    pub fn rebuild_from_deltas(avails: Vec<Avail>, deltas: &[RccDelta]) -> Self {
-        let mut snap = TenantSnapshot::from_dataset(Dataset::new(avails, Vec::new()));
-        let mut fresh = Vec::with_capacity(deltas.len());
-        for d in deltas {
-            if let RccDelta::Insert { rcc, .. } = d {
-                fresh.push(rcc.clone());
-            }
-        }
-        let applied = snap.engine.apply_deltas(deltas);
-        debug_assert_eq!(applied.len(), deltas.len(), "rebuild inserts always apply");
-        snap.next_rcc = fresh.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
-        snap.dataset = Arc::new(snap.dataset.with_rccs_merged(fresh));
-        snap
+    /// Bulk-builds epoch 0 from `(rcc, owning avail)` rows in durable-row-id
+    /// order ([`domd_index::DurableIndex::rebuild_rows`]) — the order the
+    /// live server pushed them into its arena, so the result is
+    /// bit-identical to the live epoch that acked them, `f64` sums included.
+    pub fn from_rows(avails: Vec<Avail>, rows: Vec<(Rcc, &Avail)>) -> Self {
+        let engine = StatusQueryEngine::from_arena(Arc::new(RccArena::from_rows(&rows)));
+        let rccs: Vec<Rcc> = rows.into_iter().map(|(rcc, _)| rcc).collect();
+        let next_rcc = rccs.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+        TenantSnapshot { dataset: Arc::new(Dataset::new(avails, rccs)), engine, next_rcc }
     }
 
     /// The RCC id the next ingested row will receive.
@@ -330,38 +317,62 @@ mod tests {
         assert_eq!(s.dataset.rccs().len(), rccs_before);
     }
 
+    /// Extract rows followed by ingested rows, in durable-row-id order,
+    /// build the same snapshot the live epoch reached through ingest.
     #[test]
-    fn rebuild_from_deltas_is_bit_identical_to_from_dataset() {
+    fn from_rows_in_row_id_order_matches_the_live_epoch() {
         let ds = generate(&GeneratorConfig { n_avails: 6, target_rccs: 400, scale: 1, seed: 9 });
-        let scratch = TenantSnapshot::from_dataset(ds.clone());
-        // The store emits live rows sorted by (avail, created, id) — the
-        // dataset's own order, which sorted rccs() already is.
-        let deltas: Vec<RccDelta> = ds
-            .rccs()
+        let mut live = TenantSnapshot::from_dataset(ds.clone());
+        let swlin: Swlin = "123-45-678".parse().unwrap();
+        let batch: Vec<IngestRow> = ds
+            .avails()
             .iter()
-            .map(|r| RccDelta::Insert {
-                rcc: r.clone(),
-                avail: ds.avail(r.avail).unwrap().clone(),
+            .enumerate()
+            .map(|(k, a)| IngestRow {
+                avail: a.id,
+                rcc_type: RccType::ALL[k % 3],
+                swlin,
+                created: a.actual_start + k as i32,
+                settled: a.actual_start + 7 + k as i32,
+                amount: 0.1 + k as f64,
             })
             .collect();
-        let rebuilt = TenantSnapshot::rebuild_from_deltas(ds.avails().to_vec(), &deltas);
-        assert_eq!(rebuilt.next_rcc(), scratch.next_rcc());
-        assert_eq!(rebuilt.dataset.rccs().len(), scratch.dataset.rccs().len());
-        for (x, y) in rebuilt.dataset.rccs().iter().zip(scratch.dataset.rccs()) {
+        live.ingest_batch(&batch).unwrap();
+        let arena = live.engine.arena();
+        let rows: Vec<(Rcc, &Avail)> = (0..arena.len() as RowId)
+            .map(|row| {
+                let rcc = Rcc {
+                    id: RccId(arena.rcc_id(row)),
+                    avail: arena.avail(row),
+                    rcc_type: arena.rcc_type(row),
+                    swlin: arena.swlin(row),
+                    created: arena.created(row),
+                    settled: arena.settled(row),
+                    amount: arena.amount(row),
+                };
+                (rcc, ds.avail(arena.avail(row)).unwrap())
+            })
+            .collect();
+        let rebuilt = TenantSnapshot::from_rows(ds.avails().to_vec(), rows);
+        assert_eq!(rebuilt.next_rcc(), live.next_rcc());
+        assert_eq!(rebuilt.dataset.rccs().len(), live.dataset.rccs().len());
+        for (x, y) in rebuilt.dataset.rccs().iter().zip(live.dataset.rccs()) {
             assert_eq!(x.id, y.id, "dataset orders must coincide");
             assert_eq!(x.amount.to_bits(), y.amount.to_bits());
         }
-        assert_eq!(rebuilt.engine.arena().len(), scratch.engine.arena().len());
+        assert_eq!(rebuilt.engine.arena().len(), live.engine.arena().len());
         for row in 0..rebuilt.engine.arena().len() as RowId {
-            let (a, b) = (rebuilt.engine.arena().logical(row), scratch.engine.arena().logical(row));
-            assert_eq!(a.id, b.id, "arena orders must coincide");
+            let (a, b) = (rebuilt.engine.arena().logical(row), live.engine.arena().logical(row));
+            assert_eq!(rebuilt.engine.arena().rcc_id(row), live.engine.arena().rcc_id(row));
             assert_eq!(a.start.to_bits(), b.start.to_bits());
             assert_eq!(a.end.to_bits(), b.end.to_bits());
         }
-        for status in [RccStatus::Active, RccStatus::Settled, RccStatus::Created] {
+        for status in
+            [RccStatus::Active, RccStatus::Settled, RccStatus::Created, RccStatus::NotCreated]
+        {
             for t in [0.0, 25.0, 60.0, 110.0] {
                 let q = StatusQuery { rcc_type: None, swlin_prefix: None, status, t_star: t };
-                let (x, y) = (rebuilt.engine.aggregate(&q), scratch.engine.aggregate(&q));
+                let (x, y) = (rebuilt.engine.aggregate(&q), live.engine.aggregate(&q));
                 assert_eq!(x.count, y.count);
                 assert_eq!(x.sum_amount.to_bits(), y.sum_amount.to_bits());
                 assert_eq!(x.sum_duration.to_bits(), y.sum_duration.to_bits());

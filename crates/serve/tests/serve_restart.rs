@@ -6,14 +6,17 @@
 //! * **Acked ⇒ visible** — an ingest answered `Reply::Ingested` under
 //!   fsync-on-ack ([`ServeConfig::sync_each_ingest`]) survives a kill at
 //!   *any* later WAL byte offset: after restart the row is served again.
-//! * **Rebuild is bit-identical** — the snapshot rebuilt from the
-//!   recovered store's delta stream equals a from-scratch
-//!   [`TenantSnapshot::from_dataset`] over the same rows: dataset order,
-//!   arena logical positions, and engine aggregates compare equal down
-//!   to the `f64` bit patterns.
+//! * **Rebuild is bit-identical to the live epoch** — the snapshot
+//!   bulk-built from the recovered store equals the *live* snapshot that
+//!   acked the same rows (the extracts' snapshot plus every surviving
+//!   acked batch applied through `ingest_batch`): dataset order, arena
+//!   rows, and engine aggregates — unfiltered, type-filtered and
+//!   SWLIN-filtered at several depths, every status — compare equal down
+//!   to the `f64` bit patterns. It also equals a reference built directly
+//!   from the store's rows in row-id order.
 //! * **Damage degrades to a prefix, never to garbage** — a bit-flipped
 //!   or torn WAL recovers the longest valid prefix and the rebuilt
-//!   snapshot still bit-matches a from-scratch build over that prefix.
+//!   snapshot still bit-matches the live epoch that acked that prefix.
 //! * **Pre-v2 stores still recover unmigrated** — projection-only rows
 //!   resolve against the extracts when they provably match, and refuse
 //!   with a `migrate-store`-naming error when they do not.
@@ -28,8 +31,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
-use domd_data::rcc::{RccStatus, RccType, Swlin};
-use domd_data::{corrupt_bytes, generate, Dataset, GeneratorConfig};
+use domd_data::rcc::{Rcc, RccStatus, RccType, Swlin};
+use domd_data::{corrupt_bytes, generate, Avail, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
 use domd_index::{
     project_dataset, DurableIndex, FlatAvlIndex, RowId, StatusQuery,
@@ -83,15 +86,19 @@ fn durable_core(snapshot: TenantSnapshot, index: DurableIndex<FlatAvlIndex>) -> 
     .expect("tenant 0")
 }
 
+/// The `salt`-th acked ingest: avail, type and amount vary with the salt
+/// (amounts are not exact binary fractions, so a different summation
+/// order shows in the aggregate bits); the SWLIN `1000 + salt` names the
+/// row.
 fn ingest_op(ds: &Dataset, salt: u32) -> Op {
-    let a = &ds.avails()[0];
+    let a = &ds.avails()[salt as usize % ds.avails().len()];
     Op::ingest_one(
         a.id,
-        RccType::NewWork,
+        RccType::ALL[salt as usize % 3],
         Swlin::from_packed(1_000 + salt).expect("valid packed swlin"),
         a.actual_start + 2,
         a.actual_start + 9,
-        12.5,
+        12.3 + 0.7 * f64::from(salt),
     )
 }
 
@@ -119,21 +126,67 @@ fn copy_store(src: &Path, dst: &Path) {
     }
 }
 
-/// From-scratch reference snapshot over exactly the recovered store's
-/// rows: every live row must carry its full payload (the store alone
-/// suffices), and `Dataset::new` re-sorts them the same way the rebuild
-/// path's delta stream is ordered.
+/// Reference snapshot over exactly the recovered store's rows: every
+/// live row must carry its full payload (the store alone suffices), taken
+/// in row-id order straight from the store's entries.
 fn reference_for(ds: &Dataset, index: &DurableIndex<FlatAvlIndex>) -> TenantSnapshot {
-    let rccs = index
+    let rows: Vec<(Rcc, &Avail)> = index
         .entries_full()
         .into_iter()
-        .map(|s| s.rcc.expect("recovered row carries a full payload"))
+        .map(|s| {
+            let rcc = s.rcc.expect("recovered row carries a full payload");
+            let avail = ds.avail(rcc.avail).expect("row's avail is in the extracts");
+            (rcc, avail)
+        })
         .collect();
-    TenantSnapshot::from_dataset(Dataset::new(ds.avails().to_vec(), rccs))
+    TenantSnapshot::from_rows(ds.avails().to_vec(), rows)
 }
 
-/// Bit-level equivalence of two snapshots: dataset rows, arena logical
-/// positions, and engine aggregates across statuses and `t*` values.
+/// The live oracle: the snapshot a server that never restarted holds
+/// after acking the ingests `salts` in order — the extracts' snapshot
+/// plus each acked one-row batch applied through `ingest_batch`.
+fn live_for(ds: &Dataset, salts: impl IntoIterator<Item = u32>) -> TenantSnapshot {
+    let mut live = TenantSnapshot::from_dataset(ds.clone());
+    for salt in salts {
+        let Op::Ingest { rows } = ingest_op(ds, salt) else { unreachable!("ingest op") };
+        live.ingest_batch(&rows).expect("live ingest applies");
+    }
+    live
+}
+
+/// The Status Queries the equivalence checks run: every status and
+/// type filter, with and without a SWLIN node at depths 1, 3, 5 and 8
+/// taken from the first, middle and last arena rows.
+fn probe_queries(snap: &TenantSnapshot) -> Vec<StatusQuery> {
+    let arena = snap.engine.arena();
+    let mut swlins = vec![None];
+    if !arena.is_empty() {
+        let last = arena.len() as RowId - 1;
+        for row in [0, last / 2, last] {
+            let code = arena.swlin(row).packed();
+            for len in [1u32, 3, 5, 8] {
+                swlins.push(Some((code / 10u32.pow(8 - len), len)));
+            }
+        }
+    }
+    let types = [None, Some(RccType::Growth), Some(RccType::NewWork), Some(RccType::NewGrowth)];
+    let statuses =
+        [RccStatus::Active, RccStatus::Settled, RccStatus::Created, RccStatus::NotCreated];
+    let mut out = Vec::new();
+    for &status in &statuses {
+        for t_star in [0.0, 25.0, 60.0, 110.0] {
+            for &rcc_type in &types {
+                for &swlin_prefix in &swlins {
+                    out.push(StatusQuery { rcc_type, swlin_prefix, status, t_star });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Bit-level equivalence of two snapshots: dataset rows, arena rows, and
+/// engine aggregates over [`probe_queries`].
 fn assert_bit_identical(rebuilt: &TenantSnapshot, reference: &TenantSnapshot, ctx: &str) {
     assert_eq!(rebuilt.next_rcc(), reference.next_rcc(), "{ctx}: next_rcc");
     assert_eq!(rebuilt.dataset.rccs().len(), reference.dataset.rccs().len(), "{ctx}: rows");
@@ -142,25 +195,26 @@ fn assert_bit_identical(rebuilt: &TenantSnapshot, reference: &TenantSnapshot, ct
         assert_eq!(x.amount.to_bits(), y.amount.to_bits(), "{ctx}: amount bits");
         assert_eq!(x.swlin, y.swlin, "{ctx}: swlin");
     }
-    assert_eq!(rebuilt.engine.arena().len(), reference.engine.arena().len(), "{ctx}: arena");
-    for row in 0..rebuilt.engine.arena().len() as RowId {
-        let (a, b) = (rebuilt.engine.arena().logical(row), reference.engine.arena().logical(row));
-        assert_eq!(a.id, b.id, "{ctx}: arena order at {row}");
+    let (ra, fa) = (rebuilt.engine.arena(), reference.engine.arena());
+    assert_eq!(ra.len(), fa.len(), "{ctx}: arena");
+    for row in 0..ra.len() as RowId {
+        let (a, b) = (ra.logical(row), fa.logical(row));
+        assert_eq!(ra.rcc_id(row), fa.rcc_id(row), "{ctx}: arena order at {row}");
+        assert_eq!(a.avail, b.avail, "{ctx}: avail at {row}");
         assert_eq!(a.start.to_bits(), b.start.to_bits(), "{ctx}: start bits at {row}");
         assert_eq!(a.end.to_bits(), b.end.to_bits(), "{ctx}: end bits at {row}");
+        assert_eq!(ra.amount(row).to_bits(), fa.amount(row).to_bits(), "{ctx}: amount at {row}");
+        assert_eq!(ra.duration(row).to_bits(), fa.duration(row).to_bits(), "{ctx}: dur at {row}");
     }
-    for status in [RccStatus::Active, RccStatus::Settled, RccStatus::Created] {
-        for t in [0.0, 25.0, 60.0, 110.0] {
-            let q = StatusQuery { rcc_type: None, swlin_prefix: None, status, t_star: t };
-            let (x, y) = (rebuilt.engine.aggregate(&q), reference.engine.aggregate(&q));
-            assert_eq!(x.count, y.count, "{ctx}: count @{status:?} t={t}");
-            assert_eq!(x.sum_amount.to_bits(), y.sum_amount.to_bits(), "{ctx}: sum bits");
-            assert_eq!(
-                x.sum_duration.to_bits(),
-                y.sum_duration.to_bits(),
-                "{ctx}: duration bits"
-            );
-        }
+    for q in probe_queries(reference) {
+        let (x, y) = (rebuilt.engine.aggregate(&q), reference.engine.aggregate(&q));
+        assert_eq!(x.count, y.count, "{ctx}: count {q:?}");
+        assert_eq!(x.sum_amount.to_bits(), y.sum_amount.to_bits(), "{ctx}: sum bits {q:?}");
+        assert_eq!(
+            x.sum_duration.to_bits(),
+            y.sum_duration.to_bits(),
+            "{ctx}: duration bits {q:?}"
+        );
     }
 }
 
@@ -182,7 +236,7 @@ fn acked_session(ds: &Dataset, dir: &Path, ingests: u32) -> usize {
 /// The tentpole sweep: kill the process at **every WAL byte offset** of
 /// an acked session, restart from the store alone, and hold both halves
 /// of the contract — every fully-appended record's row is visible, and
-/// the rebuilt snapshot is bit-identical to a from-scratch build over
+/// the rebuilt snapshot is bit-identical to the live epoch that acked
 /// the recovered rows.
 #[test]
 fn kill_at_every_wal_byte_offset_is_survivable() {
@@ -193,6 +247,9 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
 
     let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
     assert_eq!(wal.len(), INGESTS as usize * RECORD_LEN_V2, "all acked records are v2");
+
+    // The live epoch after each ack: lives[k] acked salts 0..k.
+    let lives: Vec<TenantSnapshot> = (0..=INGESTS).map(|k| live_for(&ds, 0..k)).collect();
 
     let kill = scratch("sweep-kill");
     for cut in 0..=wal.len() {
@@ -225,6 +282,7 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
                 "kill at byte {cut}: acked row salt={salt} missing after restart"
             );
         }
+        assert_bit_identical(&rebuilt, &lives[survived], &format!("cut={cut} vs live"));
         assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &format!("cut={cut}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -234,7 +292,7 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
 /// Seeded damage storm: a bit-flipped / torn / duplicated WAL tail
 /// (every `corrupt_bytes` fault class) recovers to a *prefix* of the
 /// acked rows — contiguous ids, no holes — and the rebuilt snapshot
-/// still bit-matches a from-scratch build over what survived.
+/// still bit-matches the live epoch that acked what survived.
 #[test]
 fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
     let ds = base_dataset();
@@ -262,6 +320,8 @@ fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
         assert_eq!(new_ids, expect, "seed {seed}: survivors must be a contiguous prefix");
 
         let (rebuilt, _) = rebuild_tenant(&ds, &index).expect("rebuild from damaged store");
+        let live = live_for(&ds, 0..survived as u32);
+        assert_bit_identical(&rebuilt, &live, &format!("seed={seed} vs live"));
         assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &format!("seed={seed}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -271,8 +331,9 @@ fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
 /// Restart storm: several serve "processes" in sequence, each acking a
 /// few ingests under fsync-on-ack and then dying with a torn in-flight
 /// append on the WAL tail. Every restart rebuilds from the store alone,
-/// serves every previously acked row, and continues ingesting — the
-/// lifecycle `domd serve --store` runs in production.
+/// serves every previously acked row bit-identically to a server that
+/// never restarted, and continues ingesting — the lifecycle
+/// `domd serve --store` runs in production.
 #[test]
 fn restart_storm_keeps_every_acked_row_across_sessions() {
     let ds = base_dataset();
@@ -282,6 +343,10 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
     const SESSIONS: u32 = 6;
     const PER_SESSION: u32 = 3;
 
+    // Every salt acked so far, in ack order, across all sessions.
+    let acked = |sessions: u32| {
+        (0..sessions).flat_map(|s| (0..PER_SESSION).map(move |i| 100 * s + i))
+    };
     let mut lcg = 0x2545_F491_4F6C_DD1Du64;
     for session in 0..SESSIONS {
         let (snapshot, index) = if session == 0 {
@@ -298,6 +363,8 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
             assert_eq!(index.len(), expected, "session {session}: an acked row went missing");
             let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
             assert_eq!(summary.from_store, expected, "store alone carries every session");
+            let live = live_for(&ds, acked(session));
+            assert_bit_identical(&rebuilt, &live, &format!("session={session} vs live"));
             assert_bit_identical(
                 &rebuilt,
                 &reference_for(&ds, &index),
@@ -332,6 +399,7 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
             );
         }
     }
+    assert_bit_identical(&rebuilt, &live_for(&ds, acked(SESSIONS)), "final vs live");
     assert_bit_identical(&rebuilt, &reference_for(&ds, &index), "final");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -470,10 +470,11 @@ fn cmd_checkpoint(args: &Args) -> Result<(), DomdError> {
 /// later one — then serves the newline protocol from stdin (or
 /// `--script FILE`) until EOF or a `quit` line — the clean-shutdown path.
 ///
-/// A recovered sub-store is the system of record: its rows are replayed
-/// into the serving snapshot as a delta stream (bit-identical to a
-/// from-scratch build), so rows the extracts have never seen — every
-/// previously acked ingest — are served again after a restart.
+/// A recovered sub-store is the system of record: the serving snapshot
+/// is bulk-built from its rows in durable-row-id order (bit-identical to
+/// the live epoch that acked them), so rows the extracts have never
+/// seen — every previously acked ingest — are served again after a
+/// restart.
 /// Projection-only rows from a pre-v2 store are resolved against the
 /// extracts when they provably match; anything else is a typed refusal
 /// naming `domd migrate-store` as the repair. With `--store`, ingests
@@ -533,7 +534,9 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 base.display()
             )));
         }
-        let projected = domd::index::project_dataset(&ds);
+        // Projected only if some tenant store is fresh: a recovered store
+        // needs none here (`rebuild_tenant` projects on its own).
+        let mut projected = None;
         for t in 0..tenants {
             let dir = base.join(format!("tenant-{t}"));
             let sub = domd::storage::Store::open(&dir).map_err(DomdError::from)?;
@@ -541,6 +544,8 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 // First start: the epoch-0 checkpoint carries the full
                 // extract rows (v2), so every later start can rebuild
                 // serving state from the store alone.
+                let projected =
+                    projected.get_or_insert_with(|| domd::index::project_dataset(&ds));
                 let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
                     &dir,
                     projected.iter().copied().zip(ds.rccs().iter().cloned()),
@@ -561,10 +566,11 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 let (index, report) = DurableIndex::<FlatAvlIndex>::recover(&dir)?;
                 eprintln!("serve: tenant {t}: durable store {}", dir.display());
                 announce_recovery(&mut std::io::stderr().lock(), &report);
-                // The store is the system of record: rebuild this
-                // tenant's snapshot from its recovered rows, so every
-                // durably acked ingest is served again — bit-identically
-                // to the epoch that first served it.
+                // The store is the system of record: bulk-build this
+                // tenant's snapshot from its recovered rows in durable
+                // row-id order — the order the live server pushed them —
+                // so every durably acked ingest is served again, with
+                // aggregates bit-identical to the epoch that acked it.
                 let (snap, summary) = rebuild_tenant(&ds, &index)?;
                 eprintln!(
                     "serve: tenant {t}: rebuilt {} row(s) from the store ({} full-payload, \
