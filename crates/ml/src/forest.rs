@@ -98,7 +98,7 @@ impl ForestModel {
         let n_feats = ((p as f64 * params.max_features).round() as usize).clamp(1, p);
 
         // Past the histogram threshold, one shared binning pass replaces
-        // the per-node sorts in every tree (same guard as the GBT).
+        // the per-tree column sorts (same guard as the GBT).
         let bins = if n >= HIST_MIN_ROWS {
             Some(TrainingBins::build(x, MAX_TRAIN_BINS, threads))
         } else {

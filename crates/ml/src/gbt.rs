@@ -12,13 +12,16 @@
 //! (see [`crate::flat`]) that `predict`/`predict_row` route through; the
 //! pointer walker survives as [`GbtModel::predict_pointer`] /
 //! [`GbtModel::predict_row_pointer`], the reference arm of the
-//! bit-identity gates. Past [`HIST_MIN_ROWS`] training rows, split
-//! finding switches to the histogram search over pre-binned columns.
+//! bit-identity gates. Below [`HIST_MIN_ROWS`] training rows, split
+//! finding is exact greedy over presorted columns: each column is sorted
+//! once per fit (once per tree when rounds subsample rows) and splits keep
+//! the orders current by stable partition. Past it, split finding
+//! switches to the histogram search over pre-binned columns.
 
 use crate::flat::{Combine, FlatForest, TrainingBins, MAX_TRAIN_BINS};
 use crate::loss::Loss;
 use crate::matrix::DenseMatrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, SortedColumns, TreeParams};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -135,9 +138,16 @@ impl GbtModel {
         let mut gains = vec![0.0; p];
         let mut row_pool = all_rows.clone();
         let mut col_pool = all_cols.clone();
-        // One binning pass serves every round and node of a large fit.
+        // One binning pass serves every round and node of a large fit; an
+        // exact fit whose rounds all train on every row sorts each column
+        // once here instead of once per round.
         let bins = if n >= HIST_MIN_ROWS {
             Some(TrainingBins::build(x, MAX_TRAIN_BINS, threads))
+        } else {
+            None
+        };
+        let sorted = if bins.is_none() && n_sub_rows == n {
+            Some(SortedColumns::build(x))
         } else {
             None
         };
@@ -161,11 +171,14 @@ impl GbtModel {
             } else {
                 &all_cols
             };
-            let tree = match &bins {
-                Some(b) => {
+            let tree = match (&bins, &sorted) {
+                (Some(b), _) => {
                     RegressionTree::fit_binned(x, &grad, &hess, rows, cols, tree_params, threads, b)
                 }
-                None => {
+                (None, Some(s)) => {
+                    RegressionTree::fit_presorted(x, &grad, &hess, cols, tree_params, threads, s)
+                }
+                (None, None) => {
                     RegressionTree::fit_threaded(x, &grad, &hess, rows, cols, tree_params, threads)
                 }
             };

@@ -11,11 +11,16 @@
 //! * **exact greedy** ([`RegressionTree::fit_threaded`]) enumerates every
 //!   boundary between sorted feature values — the paper's ~150-row
 //!   modeling population always takes this path, preserving the seed
-//!   behaviour bit for bit;
+//!   behaviour bit for bit. Each candidate feature's rows are sorted once
+//!   per tree (or once per boosted fit, see [`SortedColumns`]); every split
+//!   then keeps those orders current with an `O(rows)` stable partition per
+//!   feature, so no node ever sorts. A stable partition of a stably sorted
+//!   sequence is the stable sort of the partitioned rows, so each node
+//!   scans the same tie order a per-node sort would;
 //! * **histogram** ([`RegressionTree::fit_binned`]) scans the ≤256
-//!   pre-binned value buckets of a [`TrainingBins`](crate::flat::TrainingBins),
-//!   turning the per-node `O(rows · log rows)` sort into an `O(rows)`
-//!   accumulate + `O(bins)` scan. The ensemble trainers switch to it only
+//!   pre-binned value buckets of a [`TrainingBins`](crate::flat::TrainingBins):
+//!   an `O(rows)` accumulate + `O(bins)` scan per feature and node, with no
+//!   per-feature order to maintain. The ensemble trainers switch to it only
 //!   past a row-count guard (see `gbt::HIST_MIN_ROWS`), so small fits are
 //!   untouched.
 
@@ -55,6 +60,69 @@ pub struct RegressionTree {
     gains: Vec<f64>,
 }
 
+/// Column-major copy of a training matrix plus, per column, every row id
+/// in ascending value order (a stable sort, so ties keep row-id order).
+/// Built once per exact-greedy boosted fit and shared by every round that
+/// trains on all rows in ascending order — the exact search's counterpart
+/// of [`TrainingBins`].
+pub(crate) struct SortedColumns {
+    n_rows: usize,
+    values: Vec<f64>,
+    orders: Vec<u32>,
+}
+
+impl SortedColumns {
+    pub(crate) fn build(x: &DenseMatrix) -> Self {
+        let all_cols: Vec<usize> = (0..x.n_cols()).collect();
+        let all_rows: Vec<usize> = (0..x.n_rows()).collect();
+        let values = column_major(x, &all_cols);
+        let columns: Vec<&[f64]> = values.chunks_exact(x.n_rows()).collect();
+        let orders = sorted_orders(&columns, &all_rows);
+        SortedColumns { n_rows: x.n_rows(), values, orders }
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.values[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+
+    fn order(&self, f: usize) -> &[u32] {
+        &self.orders[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// Columns `features` of `x`, each `x.n_rows()` long, back to back.
+fn column_major(x: &DenseMatrix, features: &[usize]) -> Vec<f64> {
+    assert!(u32::try_from(x.n_rows()).is_ok(), "exact split search indexes rows as u32");
+    let mut values = Vec::with_capacity(features.len() * x.n_rows());
+    for &f in features {
+        values.extend((0..x.n_rows()).map(|r| x.get(r, f)));
+    }
+    values
+}
+
+/// One segment per column: `rows` stably sorted by that column's values.
+fn sorted_orders(columns: &[&[f64]], rows: &[usize]) -> Vec<u32> {
+    let mut orders = Vec::with_capacity(columns.len() * rows.len());
+    for col in columns {
+        let start = orders.len();
+        orders.extend(rows.iter().map(|&r| r as u32));
+        orders[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+    }
+    orders
+}
+
+/// How a builder finds a node's best split.
+enum Search<'a> {
+    /// Exact greedy over presorted candidate columns. `columns[j]` holds
+    /// the values of candidate `features[j]` indexed by row id; segment
+    /// `j` of `orders` (each `rows.len()` long) lists the tree's rows in
+    /// ascending order of that column, and every node owns the same
+    /// `[lo, hi)` range of each segment as of `rows`.
+    Exact { columns: Vec<&'a [f64]>, orders: Vec<u32> },
+    /// Histogram sweep over pre-binned columns.
+    Histogram(&'a TrainingBins),
+}
+
 struct Builder<'a> {
     x: &'a DenseMatrix,
     grad: &'a [f64],
@@ -63,9 +131,16 @@ struct Builder<'a> {
     params: TreeParams,
     /// Worker cap for the per-feature split search (1 = sequential).
     threads: usize,
-    /// Pre-binned columns for the histogram split search (`None` = exact
-    /// greedy over sorted feature values).
-    bins: Option<&'a TrainingBins>,
+    search: Search<'a>,
+    /// The tree's rows; each node owns a contiguous range, in the order
+    /// the stable partitions left them.
+    rows: Vec<usize>,
+    /// Left-child membership by row id, set only while a split reorders
+    /// the exact search's segments.
+    in_left: Vec<bool>,
+    /// Scratch for the stable partitions.
+    row_buf: Vec<usize>,
+    order_buf: Vec<u32>,
     nodes: Vec<Node>,
     gains: Vec<f64>,
 }
@@ -108,29 +183,38 @@ impl RegressionTree {
         params: TreeParams,
         threads: usize,
     ) -> Self {
-        assert_eq!(grad.len(), x.n_rows());
-        assert_eq!(hess.len(), x.n_rows());
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut b = Builder {
-            x,
-            grad,
-            hess,
-            features,
-            params,
-            threads: threads.max(1),
-            bins: None,
-            nodes: Vec::new(),
-            gains: vec![0.0; x.n_cols()],
-        };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0);
-        RegressionTree { nodes: b.nodes, gains: b.gains }
+        let values = column_major(x, features);
+        let columns: Vec<&[f64]> = values.chunks_exact(x.n_rows()).collect();
+        let orders = sorted_orders(&columns, rows);
+        let search = Search::Exact { columns, orders };
+        Builder::new(x, grad, hess, features, params, threads, search).fit(rows)
+    }
+
+    /// As [`RegressionTree::fit_threaded`] over every row of `x` in
+    /// ascending order, taking the root's per-feature orders from `sorted`
+    /// (built once per fit from the same `x`) instead of sorting them.
+    pub(crate) fn fit_presorted(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        features: &[usize],
+        params: TreeParams,
+        threads: usize,
+        sorted: &SortedColumns,
+    ) -> Self {
+        assert_eq!(sorted.n_rows, x.n_rows(), "sorted columns must cover the training matrix");
+        let columns = features.iter().map(|&f| sorted.column(f)).collect();
+        let orders = features.iter().flat_map(|&f| sorted.order(f)).copied().collect();
+        let search = Search::Exact { columns, orders };
+        let rows: Vec<usize> = (0..x.n_rows()).collect();
+        Builder::new(x, grad, hess, features, params, threads, search).fit(&rows)
     }
 
     /// As [`RegressionTree::fit_threaded`], but finds splits by sweeping
-    /// the per-feature histograms of `bins` instead of sorting the node's
-    /// rows at every feature: one `O(rows)` accumulation pass plus an
-    /// `O(bins)` boundary scan per feature. Candidate thresholds are the
+    /// the per-feature histograms of `bins` instead of scanning sorted
+    /// feature values: one `O(rows)` accumulation pass plus an `O(bins)`
+    /// boundary scan per feature. Candidate thresholds are the
     /// bin cuts, so the fitted tree is a (deterministic) approximation of
     /// the exact-greedy one; predictions of the *same* fitted tree remain
     /// bit-identical across thread counts because per-bin accumulation
@@ -147,24 +231,9 @@ impl RegressionTree {
         threads: usize,
         bins: &TrainingBins,
     ) -> Self {
-        assert_eq!(grad.len(), x.n_rows());
-        assert_eq!(hess.len(), x.n_rows());
         assert_eq!(bins.n_rows(), x.n_rows(), "bins must cover the training matrix");
-        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut b = Builder {
-            x,
-            grad,
-            hess,
-            features,
-            params,
-            threads: threads.max(1),
-            bins: Some(bins),
-            nodes: Vec::new(),
-            gains: vec![0.0; x.n_cols()],
-        };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0);
-        RegressionTree { nodes: b.nodes, gains: b.gains }
+        let search = Search::Histogram(bins);
+        Builder::new(x, grad, hess, features, params, threads, search).fit(rows)
     }
 
     /// Predicted value for one feature row.
@@ -214,32 +283,93 @@ struct BestSplit {
     gain: f64,
 }
 
-impl Builder<'_> {
-    /// Builds the subtree over `rows`, returning its node index.
-    fn build(&mut self, rows: &mut [usize], depth: usize) -> u32 {
-        let (g_sum, h_sum) = self.sums(rows);
+impl<'a> Builder<'a> {
+    fn new(
+        x: &'a DenseMatrix,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        features: &'a [usize],
+        params: TreeParams,
+        threads: usize,
+        search: Search<'a>,
+    ) -> Self {
+        assert_eq!(grad.len(), x.n_rows());
+        assert_eq!(hess.len(), x.n_rows());
+        Builder {
+            x,
+            grad,
+            hess,
+            features,
+            params,
+            threads: threads.max(1),
+            search,
+            rows: Vec::new(),
+            in_left: Vec::new(),
+            row_buf: Vec::new(),
+            order_buf: Vec::new(),
+            nodes: Vec::new(),
+            gains: vec![0.0; x.n_cols()],
+        }
+    }
+
+    fn fit(mut self, rows: &[usize]) -> RegressionTree {
+        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        self.rows = rows.to_vec();
+        if matches!(self.search, Search::Exact { .. }) {
+            self.in_left = vec![false; self.x.n_rows()];
+        }
+        self.build(0, rows.len(), 0);
+        RegressionTree { nodes: self.nodes, gains: self.gains }
+    }
+
+    /// Builds the subtree over `rows[lo..hi]`, returning its node index.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let (g_sum, h_sum) = self.sums(&self.rows[lo..hi]);
         let leaf_value = -g_sum / (h_sum + self.params.lambda);
 
-        if depth >= self.params.max_depth || rows.len() < 2 {
+        if depth >= self.params.max_depth || hi - lo < 2 {
             return self.push(Node::Leaf { value: leaf_value });
         }
-        let Some(best) = self.best_split(rows, g_sum, h_sum) else {
+        let Some(best) = self.best_split(lo, hi, g_sum, h_sum) else {
             return self.push(Node::Leaf { value: leaf_value });
         };
 
         self.gains[best.feature] += best.gain;
         // Partition rows in place around the threshold.
-        let mid = partition(rows, |&r| self.x.get(r, best.feature) <= best.threshold);
-        debug_assert!(mid > 0 && mid < rows.len(), "split must separate rows");
+        let x = self.x;
+        let n_left = partition(&mut self.rows[lo..hi], &mut self.row_buf, |&r| {
+            x.get(r, best.feature) <= best.threshold
+        });
+        debug_assert!(n_left > 0 && n_left < hi - lo, "split must separate rows");
+        // Carry every feature's order into the children, unless both
+        // children are leaves and never scan again.
+        if let Search::Exact { orders, .. } = &mut self.search {
+            if depth + 1 < self.params.max_depth {
+                let left_rows = &self.rows[lo..lo + n_left];
+                for &r in left_rows {
+                    self.in_left[r] = true;
+                }
+                let in_left = &self.in_left;
+                for segment in orders.chunks_exact_mut(self.rows.len()) {
+                    let k = partition(&mut segment[lo..hi], &mut self.order_buf, |&r| {
+                        in_left[r as usize]
+                    });
+                    debug_assert_eq!(k, n_left);
+                }
+                for &r in left_rows {
+                    self.in_left[r] = false;
+                }
+            }
+        }
         let slot = self.push(Node::Split {
             feature: best.feature as u32,
             threshold: best.threshold,
             left: 0,
             right: 0,
         });
-        let (l_rows, r_rows) = rows.split_at_mut(mid);
-        let left = self.build(l_rows, depth + 1);
-        let right = self.build(r_rows, depth + 1);
+        let mid = lo + n_left;
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
         if let Node::Split { left: l, right: r, .. } = &mut self.nodes[slot as usize] {
             *l = left;
             *r = right;
@@ -262,28 +392,23 @@ impl Builder<'_> {
         (g, h)
     }
 
-    fn best_split(&self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+    fn best_split(&self, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+        let rows = &self.rows[lo..hi];
         let fan_out = self.threads > 1
             && rows.len() >= PAR_SPLIT_MIN_ROWS
             && rows.len() * self.features.len() >= PAR_SPLIT_MIN_WORK;
 
+        let scan = |j: usize, f: usize| match &self.search {
+            Search::Histogram(b) => self.scan_feature_hist(b, f, rows, g_sum, h_sum),
+            Search::Exact { columns, orders } => {
+                let segment = &orders[j * self.rows.len()..][lo..hi];
+                self.scan_feature(f, columns[j], segment, g_sum, h_sum)
+            }
+        };
         let per_feature: Vec<Option<BestSplit>> = if fan_out {
-            domd_runtime::par_map(self.threads, self.features, |_, &f| match self.bins {
-                Some(b) => self.scan_feature_hist(b, f, rows, g_sum, h_sum),
-                None => {
-                    let mut order = Vec::with_capacity(rows.len());
-                    self.scan_feature(f, rows, g_sum, h_sum, &mut order)
-                }
-            })
+            domd_runtime::par_map(self.threads, self.features, |j, &f| scan(j, f))
         } else {
-            let mut order: Vec<usize> = Vec::with_capacity(rows.len());
-            self.features
-                .iter()
-                .map(|&f| match self.bins {
-                    Some(b) => self.scan_feature_hist(b, f, rows, g_sum, h_sum),
-                    None => self.scan_feature(f, rows, g_sum, h_sum, &mut order),
-                })
-                .collect()
+            self.features.iter().enumerate().map(|(j, &f)| scan(j, f)).collect()
         };
 
         // Reduce in feature order with the same strict-improvement rule as
@@ -298,35 +423,36 @@ impl Builder<'_> {
         best
     }
 
-    /// Exact greedy scan of a single feature, returning its best admissible
-    /// split. Pure in `(f, rows, g_sum, h_sum)`; `order` is only a reusable
-    /// scratch buffer.
+    /// Exact greedy scan of feature `f`, returning its best admissible
+    /// split. `column` holds the feature's values by row id and `order`
+    /// is the node's rows in ascending value order.
     fn scan_feature(
         &self,
         f: usize,
-        rows: &[usize],
+        column: &[f64],
+        order: &[u32],
         g_sum: f64,
         h_sum: f64,
-        order: &mut Vec<usize>,
     ) -> Option<BestSplit> {
         let lambda = self.params.lambda;
         let parent_score = g_sum * g_sum / (h_sum + lambda);
         let mut best: Option<BestSplit> = None;
 
-        order.clear();
-        order.extend_from_slice(rows);
-        order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
-
         let mut gl = 0.0;
         let mut hl = 0.0;
         for w in 0..order.len() - 1 {
-            let r = order[w];
+            let r = order[w] as usize;
             gl += self.grad[r];
             hl += self.hess[r];
-            let v = self.x.get(r, f);
-            let v_next = self.x.get(order[w + 1], f);
-            if v == v_next {
-                continue; // cannot separate equal values
+            let v = column[r];
+            let v_next = column[order[w + 1] as usize];
+            // Midpoint threshold generalizes better than the left value
+            // itself. Equal values cannot be separated, and neither can a
+            // NaN next to anything: its midpoint is NaN, and `x <= NaN`
+            // sends every row right.
+            let threshold = 0.5 * (v + v_next);
+            if v == v_next || threshold.is_nan() {
+                continue;
             }
             let gr = g_sum - gl;
             let hr = h_sum - hl;
@@ -346,13 +472,7 @@ impl Builder<'_> {
                 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
                 - self.params.gamma;
             if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(BestSplit {
-                    feature: f,
-                    // Midpoint threshold generalizes better than the
-                    // left value itself.
-                    threshold: 0.5 * (v + v_next),
-                    gain,
-                });
+                best = Some(BestSplit { feature: f, threshold, gain });
             }
         }
         best
@@ -425,9 +545,9 @@ impl Builder<'_> {
 }
 
 /// Stable in-place partition; returns the number of elements satisfying
-/// `pred` (moved to the front).
-fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
-    let mut buf: Vec<T> = Vec::with_capacity(xs.len());
+/// `pred` (moved to the front). `buf` is reusable scratch.
+fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], buf: &mut Vec<T>, pred: F) -> usize {
+    buf.clear();
     let mut k = 0;
     for i in 0..xs.len() {
         if pred(&xs[i]) {
@@ -437,7 +557,7 @@ fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
             buf.push(xs[i]);
         }
     }
-    xs[k..].copy_from_slice(&buf);
+    xs[k..].copy_from_slice(buf);
     k
 }
 
@@ -458,7 +578,7 @@ mod tests {
     #[test]
     fn partition_stable() {
         let mut v = [5, 2, 8, 1, 9, 4];
-        let k = partition(&mut v, |&x| x < 5);
+        let k = partition(&mut v, &mut Vec::new(), |&x| x < 5);
         assert_eq!(k, 3);
         assert_eq!(&v[..3], &[2, 1, 4]);
         assert_eq!(&v[3..], &[5, 8, 9]);
@@ -542,6 +662,277 @@ mod tests {
         let y: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let t = fit_plain(&x, &y, TreeParams::default());
         assert_eq!(t.n_nodes(), 1, "no separable values => leaf");
+    }
+
+    /// The sort-per-node exact-greedy builder that the presorted search
+    /// replaced, kept (sequential) as the differential oracle.
+    struct ReferenceBuilder<'a> {
+        x: &'a DenseMatrix,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        features: &'a [usize],
+        params: TreeParams,
+        nodes: Vec<Node>,
+        gains: Vec<f64>,
+    }
+
+    impl ReferenceBuilder<'_> {
+        fn build(&mut self, rows: &mut [usize], depth: usize) -> u32 {
+            let (g_sum, h_sum) = self.sums(rows);
+            let leaf_value = -g_sum / (h_sum + self.params.lambda);
+
+            if depth >= self.params.max_depth || rows.len() < 2 {
+                return self.push(Node::Leaf { value: leaf_value });
+            }
+            let Some(best) = self.best_split(rows, g_sum, h_sum) else {
+                return self.push(Node::Leaf { value: leaf_value });
+            };
+
+            self.gains[best.feature] += best.gain;
+            let mid = partition(rows, &mut Vec::new(), |&r| {
+                self.x.get(r, best.feature) <= best.threshold
+            });
+            let slot = self.push(Node::Split {
+                feature: best.feature as u32,
+                threshold: best.threshold,
+                left: 0,
+                right: 0,
+            });
+            let (l_rows, r_rows) = rows.split_at_mut(mid);
+            let left = self.build(l_rows, depth + 1);
+            let right = self.build(r_rows, depth + 1);
+            if let Node::Split { left: l, right: r, .. } = &mut self.nodes[slot as usize] {
+                *l = left;
+                *r = right;
+            }
+            slot
+        }
+
+        fn push(&mut self, n: Node) -> u32 {
+            self.nodes.push(n);
+            (self.nodes.len() - 1) as u32
+        }
+
+        fn sums(&self, rows: &[usize]) -> (f64, f64) {
+            let mut g = 0.0;
+            let mut h = 0.0;
+            for &r in rows {
+                g += self.grad[r];
+                h += self.hess[r];
+            }
+            (g, h)
+        }
+
+        fn best_split(&self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+            let mut order: Vec<usize> = Vec::with_capacity(rows.len());
+            let mut best: Option<BestSplit> = None;
+            for &f in self.features {
+                if let Some(cand) = self.scan_feature(f, rows, g_sum, h_sum, &mut order) {
+                    if best.as_ref().is_none_or(|b| cand.gain > b.gain) {
+                        best = Some(cand);
+                    }
+                }
+            }
+            best
+        }
+
+        fn scan_feature(
+            &self,
+            f: usize,
+            rows: &[usize],
+            g_sum: f64,
+            h_sum: f64,
+            order: &mut Vec<usize>,
+        ) -> Option<BestSplit> {
+            let lambda = self.params.lambda;
+            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let mut best: Option<BestSplit> = None;
+
+            order.clear();
+            order.extend_from_slice(rows);
+            order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
+
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for w in 0..order.len() - 1 {
+                let r = order[w];
+                gl += self.grad[r];
+                hl += self.hess[r];
+                let v = self.x.get(r, f);
+                let v_next = self.x.get(order[w + 1], f);
+                // The one deviation from the replaced code, shared with the
+                // production scan: a NaN midpoint is no candidate (the old
+                // code let it win a split that moves no row).
+                let threshold = 0.5 * (v + v_next);
+                if v == v_next || threshold.is_nan() {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                let nl = (w + 1) as f64;
+                let nr = (order.len() - w - 1) as f64;
+                let mcw = self.params.min_child_weight;
+                if (hl < mcw && nl < mcw) || (hr < mcw && nr < mcw) {
+                    continue;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                    - self.params.gamma;
+                if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                    best = Some(BestSplit { feature: f, threshold, gain });
+                }
+            }
+            best
+        }
+    }
+
+    fn reference_fit(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        features: &[usize],
+        params: TreeParams,
+    ) -> RegressionTree {
+        let mut b = ReferenceBuilder {
+            x,
+            grad,
+            hess,
+            features,
+            params,
+            nodes: Vec::new(),
+            gains: vec![0.0; x.n_cols()],
+        };
+        b.build(&mut rows.to_vec(), 0);
+        RegressionTree { nodes: b.nodes, gains: b.gains }
+    }
+
+    fn assert_bit_identical(got: &RegressionTree, want: &RegressionTree, ctx: &str) {
+        assert_eq!(got.nodes.len(), want.nodes.len(), "node count, {ctx}");
+        for (i, (a, b)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            let same = match (*a, *b) {
+                (Node::Leaf { value: va }, Node::Leaf { value: vb }) => va.to_bits() == vb.to_bits(),
+                (
+                    Node::Split { feature: fa, threshold: ta, left: la, right: ra },
+                    Node::Split { feature: fb, threshold: tb, left: lb, right: rb },
+                ) => fa == fb && ta.to_bits() == tb.to_bits() && la == lb && ra == rb,
+                _ => false,
+            };
+            assert!(same, "node {i} differs ({a:?} vs {b:?}), {ctx}");
+        }
+        let bits = |t: &RegressionTree| t.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "feature gains, {ctx}");
+    }
+
+    /// A seeded matrix built to stress tie handling: small integer value
+    /// sets, ±0.0, NaN, a constant column and a continuous one, cycled
+    /// over `n_cols`; plus gradients and (partly tiny) hessians.
+    fn tie_heavy_problem(n: usize, n_cols: usize, seed: u64) -> (DenseMatrix, Vec<f64>, Vec<f64>) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(n * n_cols);
+        for _ in 0..n {
+            for c in 0..n_cols {
+                data.push(match c % 6 {
+                    0 => rng.gen_range(0..3) as f64,
+                    1 => [-0.0, 0.0, 1.0][rng.gen_range(0..3usize)],
+                    2 => {
+                        if rng.gen_bool(0.2) {
+                            f64::NAN
+                        } else {
+                            rng.gen_range(0..5) as f64
+                        }
+                    }
+                    3 => 7.0,
+                    4 => rng.gen_range(-1.0..1.0),
+                    _ => rng.gen_range(0..12) as f64 * 0.5,
+                });
+            }
+        }
+        let grad = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let hess = (0..n).map(|_| if rng.gen_bool(0.3) { 1e-3 } else { rng.gen_range(0.5..2.0) }).collect();
+        (DenseMatrix::from_rows(data, n, n_cols), grad, hess)
+    }
+
+    /// The presorted builder (per-tree orders, and the per-fit
+    /// [`SortedColumns`] where the tree trains on every row in ascending
+    /// order) must reproduce the sort-per-node oracle to the bit.
+    fn check_against_reference(n: usize, n_cols: usize, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let (x, grad, hess) = tie_heavy_problem(n, n_cols, seed);
+        let sorted = SortedColumns::build(&x);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let all_rows: Vec<usize> = (0..n).collect();
+        let mut shuffled = all_rows.clone();
+        shuffled.shuffle(&mut rng);
+        shuffled.truncate(n * 7 / 10);
+        let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        let all_cols: Vec<usize> = (0..n_cols).collect();
+        let mut col_subset = all_cols.clone();
+        col_subset.shuffle(&mut rng);
+        col_subset.truncate(n_cols * 2 / 3);
+        col_subset.sort_unstable();
+
+        for (row_mode, rows) in
+            [("all rows", &all_rows), ("subsample", &shuffled), ("bootstrap", &bootstrap)]
+        {
+            for (col_mode, cols) in [("all cols", &all_cols), ("col subset", &col_subset)] {
+                for max_depth in 0..=6 {
+                    for min_child_weight in [0.0, 1.0, 4.0, 25.0] {
+                        let params = TreeParams { max_depth, min_child_weight, lambda: 1.0, gamma: 0.0 };
+                        let want = reference_fit(&x, &grad, &hess, rows, cols, params);
+                        for threads in [1, 2] {
+                            let ctx = format!(
+                                "n {n}, seed {seed}, {row_mode}, {col_mode}, depth {max_depth}, \
+                                 mcw {min_child_weight}, threads {threads}"
+                            );
+                            let got =
+                                RegressionTree::fit_threaded(&x, &grad, &hess, rows, cols, params, threads);
+                            assert_bit_identical(&got, &want, &ctx);
+                            if row_mode == "all rows" {
+                                let got = RegressionTree::fit_presorted(
+                                    &x, &grad, &hess, cols, params, threads, &sorted,
+                                );
+                                assert_bit_identical(&got, &want, &format!("presorted, {ctx}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn presorted_search_matches_sort_per_node_oracle_small() {
+        for seed in 0..4 {
+            check_against_reference(150, 12, seed);
+        }
+    }
+
+    #[test]
+    fn presorted_search_matches_sort_per_node_oracle_fan_out() {
+        // ≥ PAR_SPLIT_MIN_ROWS rows and ≥ PAR_SPLIT_MIN_WORK cells, so the
+        // threads = 2 fits take the pooled per-feature scan.
+        check_against_reference(1100, 18, 9);
+    }
+
+    #[test]
+    fn nan_boundaries_are_not_split_candidates() {
+        // The NaN rows carry the strongest signal, but a midpoint with NaN
+        // cannot isolate them under `x <= t`, so the split must fall
+        // between finite values.
+        let x = DenseMatrix::from_rows(vec![1.0, 2.0, f64::NAN, f64::NAN, 3.0, 1.0], 6, 1);
+        let grad = [-1.0, -1.0, 5.0, 5.0, -1.0, -1.0];
+        let hess = [1.0; 6];
+        let params = TreeParams { max_depth: 1, min_child_weight: 0.0, ..Default::default() };
+        let t = RegressionTree::fit(&x, &grad, &hess, &[0, 1, 2, 3, 4, 5], &[0], params);
+        match t.nodes[0] {
+            Node::Split { threshold, .. } => assert!(threshold.is_finite(), "{threshold}"),
+            Node::Leaf { .. } => panic!("finite values are separable"),
+        }
     }
 
     #[test]

@@ -1,41 +1,30 @@
 #!/usr/bin/env bash
-# Workspace lint gate: clippy across every target (including the
-# domd-runtime pool and the PR-3 layout modules: arena, eytzinger,
-# flat_avl, snapshot caches), warnings promoted to errors, then two fast
-# smoke suites — the parallel-equivalence tests run under a 2-worker pool
-# so any scheduling-dependent output fails the gate quickly, and the
-# cache-invalidation tests assert a dynamic-maintenance epoch bump retires
-# every memoized snapshot on both the index and feature layers. The PR-4
-# durability gate runs the storage crate (frame/WAL/checkpoint/atomic-write
-# units), the DurableIndex suite, and the crash-recovery + storage-fault
-# integration tests, so a change that weakens the "never serve torn state"
-# contract fails here before any benchmark runs.
-# PR 5 puts domd-lint in front of clippy: the workspace invariant
-# checker first proves its own rule set against the fixture corpus
-# (--self-check fails if any rule stops firing on its violating fixture),
-# then sweeps every crate for panics in library code, stray thread
-# spawns, nondeterminism sources (wall clocks, OS entropy, default-hasher
-# maps), unlogged DurableIndex mutations, and missing/abused lint
-# waivers. Any unwaived finding exits nonzero before clippy runs.
-# The flat-forest kernel gate proves the branchless compiled descent
-# bit-identical to the pointer walker (property suite, threaded histogram
-# training, and a tiny-scale identity-gated bench smoke).
-# The serving gate at the end smoke-tests `domd serve` end to end: tiny
-# dataset, tiny model, one request of every type over the line protocol
-# (plus one malformed line, which must be refused without killing the
-# session), clean `quit` shutdown, and a second session whose driving
-# process is SIGTERM-killed mid-stream — the server must see EOF, drain,
-# and still exit 0.
-# The restart gate then proves the store is the system of record: the
-# kill–restart chaos suite (every WAL byte offset), the v1→v2 migration
-# suite, and an end-to-end smoke that `kill -9`s a durable server right
-# after an ack and requires the restarted server to rebuild the acked
-# row from the store alone (plus a `domd migrate-store` run-through).
-# The gate is staged by LINT_PROFILE (default full): `fast` stops after
-# the analyzer sweep, clippy, and the workspace unit tests — the
-# inner-loop check while iterating on a change; `full` adds every
-# integration, chaos, and end-to-end smoke stage below and is what CI
-# and pre-send runs use.
+# Workspace lint gate, staged by LINT_PROFILE (default full).
+#
+# Stage 1 (both profiles): domd-lint, the workspace invariant checker,
+# first proves its own rule set against the fixture corpus (--self-check
+# fails if any rule stops firing on its violating fixture), then sweeps
+# every crate for panics in library code, stray thread spawns,
+# nondeterminism sources (wall clocks, OS entropy, default-hasher maps),
+# unlogged DurableIndex mutations, and missing/abused lint waivers; any
+# unwaived finding exits nonzero. Then clippy across every target with
+# warnings promoted to errors, and the workspace unit tests under a
+# 2-worker pool. `fast` stops here — the inner-loop check while
+# iterating on a change.
+#
+# Stage 2 (`full`, what CI and pre-send runs use): every integration and
+# property suite of every crate in one `cargo test --workspace --tests`
+# run under a 2-worker pool, so scheduling-dependent output fails the
+# gate; then the end-to-end smokes, which drive release binaries:
+# * a tiny-scale run of the gbt bench, whose identity gates prove the
+#   branchless kernel bit-identical to the pointer walker before timing;
+# * `domd serve` over the line protocol: one request of every type plus
+#   one malformed line (refused without killing the session), a clean
+#   `quit`, and a second session whose driving process is SIGTERM-killed
+#   mid-stream — the server must see EOF, drain, and still exit 0;
+# * restart: `kill -9` a durable server right after an ack and require
+#   the restarted server to rebuild the acked row from the store alone,
+#   plus a `domd migrate-store` run-through.
 #
 # Run before sending a change; CI treats any output as a failure.
 set -euo pipefail
@@ -62,37 +51,21 @@ if [ "$LINT_PROFILE" = "fast" ]; then
   exit 0
 fi
 
-# Stage 2 — full profile only: integration, chaos, and smoke gates.
-DOMD_THREADS=2 cargo test -q -p domd-runtime
-DOMD_THREADS=2 cargo test -q -p domd-features --test parallel_equivalence
-DOMD_THREADS=2 cargo test -q -p domd-core --test parallel_equivalence
-cargo test -q -p domd-index --test cache_invalidation
-cargo test -q -p domd --test cache_invalidation
+# Stage 2 — full profile only: every integration suite of every crate in
+# one run under a 2-worker pool, so any scheduling-dependent output fails
+# the gate. This covers the parallel-equivalence, cache-invalidation,
+# delta-maintenance, flat-kernel, durability, crash-recovery, serving and
+# kill–restart chaos suites, the v1→v2 migration suite, and the property
+# suites (`prop_*`, `heap_size`, the analyzer's `workspace_clean`).
+DOMD_THREADS=2 cargo test -q --workspace --tests
 
-# Delta-maintenance gate: the incremental Status Query engine and the
-# patched feature tensor must stay bit-identical to their from-scratch
-# recomputes after every delta batch, at every thread count, and a pinned
-# epoch must never observe a concurrently published delta.
-DOMD_THREADS=2 cargo test -q -p domd-index --test delta_equivalence
-DOMD_THREADS=2 cargo test -q -p domd-features --test maintained_equivalence
-
-# Flat-forest kernel gate: the compiled descent (plain, batch, quantized)
-# must stay bit-identical to the pointer walker — property suite plus the
-# threaded histogram-training equivalence, then a tiny-scale smoke run of
-# the gbt bench (its built-in identity gates assert before any timing).
-DOMD_THREADS=2 cargo test -q -p domd-ml --test prop_flat
-DOMD_THREADS=2 cargo test -q -p domd-ml --test parallel_equivalence
+# Flat-forest kernel smoke: a tiny-scale run of the gbt bench (its
+# built-in identity gates assert before any timing).
 cargo build --release -q -p domd-bench --bin bench_gbt
 target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
   --rows 256 --train-rows 512 --out /dev/null >/dev/null
 echo "gbt kernel gate: OK"
 
-cargo test -q -p domd-storage
-cargo test -q -p domd-index durable
-cargo test -q -p domd --test recovery
-cargo test -q -p domd --test fault_injection
-
-cargo test -q -p domd-serve
 cargo build --release -q --bin domd
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SERVE_DIR"' EXIT
@@ -134,12 +107,9 @@ grep -q 'op=predict' "$SERVE_DIR/signal.out" || {
   echo "serve smoke: no response before driver kill" >&2; exit 1; }
 echo "serve smoke: OK"
 
-# Restart gate: acked ingests survive kill -9; the store alone rebuilds
-# the serving snapshot bit-identically (chaos suite), and v1 stores
-# migrate in place (property + literal-fixture suite).
-DOMD_THREADS=2 cargo test -q -p domd-serve --test serve_restart
-cargo test -q -p domd --test migration
-
+# Restart smoke: an acked ingest survives kill -9 and a restarted server
+# rebuilds it from the store alone (the chaos and migration suites ran in
+# Stage 2).
 STORE_DIR="$SERVE_DIR/store"
 RESTART_FIFO="$SERVE_DIR/restart.fifo"
 mkfifo "$RESTART_FIFO"

@@ -108,3 +108,28 @@ fn artifact_parser_never_panics_on_garbage() {
         }
     }
 }
+
+/// CRC-32 and byte length of the `paper_final` artifact trained on the
+/// seeded 70-avail dataset below (grid step 25, split seed 7, as
+/// `domd train` would). Recorded from the sort-per-node exact-greedy
+/// trainer; any change to split search, boosting arithmetic or the
+/// artifact format that moves a single bit fails here.
+const PINNED_ARTIFACT_CRC32: u32 = 0xf6e5_7293;
+const PINNED_ARTIFACT_LEN: usize = 617_087;
+
+#[test]
+fn paper_final_artifact_matches_pinned_golden() {
+    let ds = generate(&GeneratorConfig { n_avails: 70, target_rccs: 6000, scale: 1, seed: 5 });
+    let split = ds.split(7);
+    let mut cfg = PipelineConfig::paper_final();
+    cfg.grid_step = 25.0;
+    let inputs = PipelineInputs::build(&ds, cfg.grid_step);
+    let artifact = save_pipeline(&TrainedPipeline::fit(&inputs, &split.train, &cfg));
+    let crc = domd::storage::crc::crc32(artifact.as_bytes());
+    assert_eq!(
+        (crc, artifact.len()),
+        (PINNED_ARTIFACT_CRC32, PINNED_ARTIFACT_LEN),
+        "trained artifact drifted from the pinned golden (crc32 {crc:#010x}, {} bytes)",
+        artifact.len()
+    );
+}
