@@ -37,28 +37,26 @@ impl Dataset {
     }
 
     /// Inserts `fresh` RCC rows by a single linear merge into the sorted
-    /// table — O(n + k log k) for k new rows against the O((n+k) log (n+k))
+    /// table — O(n + k log n) for k new rows against the O((n+k) log (n+k))
     /// full re-sort a [`Dataset::new`] rebuild pays — and re-indexes the
-    /// per-avail ranges. Produces exactly the dataset `Dataset::new` would
-    /// build from the concatenated rows: the merge keys on the same
-    /// `(avail, created, id)` triple and keeps existing rows first on ties,
-    /// matching the stable sort.
+    /// per-avail ranges. The existing rows between two insertion points
+    /// (found by binary search) are copied as one run. Produces exactly the
+    /// dataset `Dataset::new` would build from the concatenated rows: the
+    /// merge keys on the same `(avail, created, id)` triple and keeps
+    /// existing rows first on ties, matching the stable sort.
     pub fn with_rccs_merged(&self, mut fresh: Vec<Rcc>) -> Dataset {
         let key = |r: &Rcc| (r.avail, r.created, r.id);
         fresh.sort_by_key(key);
         let mut rccs = Vec::with_capacity(self.rccs.len() + fresh.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rccs.len() && j < fresh.len() {
-            if key(&self.rccs[i]) <= key(&fresh[j]) {
-                rccs.push(self.rccs[i].clone());
-                i += 1;
-            } else {
-                rccs.push(fresh[j].clone());
-                j += 1;
-            }
+        let mut i = 0usize;
+        for r in fresh {
+            let k = key(&r);
+            let run = self.rccs[i..].partition_point(|old| key(old) <= k);
+            rccs.extend_from_slice(&self.rccs[i..i + run]);
+            i += run;
+            rccs.push(r);
         }
         rccs.extend_from_slice(&self.rccs[i..]);
-        rccs.extend_from_slice(&fresh[j..]);
         let by_avail = build_ranges(&rccs, self.avails.len());
         Dataset { avails: self.avails.clone(), rccs, by_avail }
     }

@@ -553,7 +553,7 @@ impl<I: MaintainableIndex> CachedStatusQueryEngine<I> {
     }
 }
 
-impl<I: MaintainableIndex + Sync> CachedStatusQueryEngine<I> {
+impl<I: MaintainableIndex + Send + Sync> CachedStatusQueryEngine<I> {
     /// Batched memoized aggregation on the shared worker pool. Each shard
     /// owns a private LRU handed off through a `Mutex` locked once per
     /// shard per batch (never per query), so the per-query read path stays

@@ -153,6 +153,17 @@ impl SwlinTree {
     /// `len = 0` with `prefix = 0` enumerates the root's children (first
     /// digits present in the data).
     pub fn child_prefixes(&self, prefix: u32, len: u32) -> Vec<u32> {
+        self.child_prefixes_where(prefix, len, |_| true)
+    }
+
+    /// [`Self::child_prefixes`] counting only the rows `keep` accepts: a
+    /// child none of whose rows is kept is not listed.
+    pub fn child_prefixes_where(
+        &self,
+        prefix: u32,
+        len: u32,
+        keep: impl Fn(RowId) -> bool,
+    ) -> Vec<u32> {
         assert!(len < 8, "SWLIN codes have 8 digits");
         let slice = if len == 0 {
             assert_eq!(prefix, 0, "root enumeration takes prefix 0");
@@ -162,9 +173,9 @@ impl SwlinTree {
         };
         let unit = 10u32.pow(8 - (len + 1));
         let mut out = Vec::new();
-        for &(w, _) in slice {
+        for &(w, id) in slice {
             let child = w / unit;
-            if out.last() != Some(&child) {
+            if out.last() != Some(&child) && keep(id) {
                 out.push(child);
             }
         }

@@ -79,6 +79,6 @@ pub use interval_tree::IntervalTreeIndex;
 pub use naive::NaiveJoinIndex;
 pub use snapshot::{EngineStore, EpochStore, Pinned};
 pub use sorted_array::SortedArrayIndex;
-pub use status_query::{GroupRows, StatusAggregate, StatusQuery, StatusQueryEngine};
+pub use status_query::{StatusAggregate, StatusQuery, StatusQueryEngine};
 pub use traits::{EventRangeScan, LogicalTimeIndex, MaintainableIndex};
 pub use types::{project_dataset, HeapSize, LogicalRcc, OrderedF64, RowId};

@@ -6,6 +6,16 @@
 //! restricted to the subtree of the group-by hierarchies named in its
 //! `GROUP BY` clause — an RCC type and/or a SWLIN prefix — and aggregates
 //! their settled amounts and durations.
+//!
+//! The engine keeps the paper's dynamic index (Section 4.1) in two
+//! layers, the static-vs-dynamic split of Kara/Nikolic/Olteanu/Zhang
+//! (PAPERS.md): a bulk-built base layer that every serving epoch shares
+//! through an `Arc`, and a small owned delta layer plus a retired list
+//! that absorb mutations. A copy-on-write epoch build therefore copies
+//! only the delta layer, and the base keeps the sorted layout of its bulk
+//! build. Queries merge the two layers' ascending id lists, so every
+//! aggregate is bit-identical to a single from-scratch engine; the delta
+//! is folded into a fresh base once it outgrows `√(base rows)`.
 
 use crate::arena::RccArena;
 use crate::group_tree::{RccTypeTree, SwlinTree};
@@ -63,12 +73,11 @@ impl StatusAggregate {
 /// Step-1 result of Algorithm StatusQ: the rows satisfying the group-by
 /// predicates, without forcing an allocation on paths that don't need one.
 ///
-/// The type-only dispatch arm used to clone the whole type partition per
-/// query (`ids_of(t).to_vec()`); borrowing it instead makes the most common
-/// group-by shape allocation-free, and the no-predicate arm skips even the
-/// `0..n` materialization because every status row trivially qualifies.
+/// The type-only dispatch arm borrows the type partition instead of
+/// cloning it, and the no-predicate arm skips even the `0..n`
+/// materialization because every status row trivially qualifies.
 #[derive(Debug)]
-pub enum GroupRows<'a> {
+enum GroupRows<'a> {
     /// Every row qualifies (no group-by predicates).
     All,
     /// A borrowed ascending partition (single type predicate).
@@ -77,75 +86,41 @@ pub enum GroupRows<'a> {
     Owned(Vec<RowId>),
 }
 
-impl GroupRows<'_> {
-    /// Materializes the ascending id list, given the total row count
-    /// (needed only for the [`GroupRows::All`] arm).
-    pub fn to_vec(&self, n_rows: usize) -> Vec<RowId> {
-        match self {
-            GroupRows::All => (0..n_rows as RowId).collect(),
-            GroupRows::Borrowed(s) => s.to_vec(),
-            GroupRows::Owned(v) => v.clone(),
-        }
-    }
-}
-
-/// Executes Status Queries: owns the two group-by trees, a logical-time
-/// index `I`, and a shared columnar [`RccArena`] for aggregation.
+/// One bulk-built layer of the engine: a logical-time index and the two
+/// group-by trees over one set of arena rows. Every query method is
+/// Algorithm StatusQ restricted to the layer's own rows.
 #[derive(Debug, Clone)]
-pub struct StatusQueryEngine<I> {
+pub(crate) struct Layer<I> {
     pub(crate) index: I,
     pub(crate) type_tree: RccTypeTree,
     pub(crate) swlin_tree: SwlinTree,
-    /// Columnar RCC storage; `Arc` so feature/bench layers can share it
-    /// without cloning columns. Dynamic inserts copy-on-write via
-    /// [`Arc::make_mut`].
-    pub(crate) arena: Arc<RccArena>,
 }
 
-impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
-    /// Builds the engine for `dataset` using its logical projection
-    /// (`projected[i]` must describe `dataset.rccs()[i]`).
-    pub fn build(dataset: &Dataset, projected: &[LogicalRcc]) -> Self {
-        let arena = Arc::new(RccArena::from_projected(dataset, projected));
-        Self::from_arena(arena)
+impl<I: LogicalTimeIndex> Layer<I> {
+    /// Bulk-builds the layer over `rows` (ascending) of `arena`.
+    fn build(arena: &RccArena, rows: &[RowId]) -> Self {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "layer rows must ascend");
+        let projected: Vec<LogicalRcc> = rows.iter().map(|&r| arena.logical(r)).collect();
+        Layer {
+            index: I::build(&projected),
+            type_tree: RccTypeTree::build(rows.iter().map(|&r| (arena.rcc_type(r), r))),
+            swlin_tree: SwlinTree::build(rows.iter().map(|&r| (arena.swlin(r), r))),
+        }
     }
 
-    /// Builds the engine over an existing arena (shared, not copied).
-    pub fn from_arena(arena: Arc<RccArena>) -> Self {
-        let index = I::build(&arena.projected());
-        let type_tree = RccTypeTree::build(arena.type_rows());
-        let swlin_tree = SwlinTree::build(arena.swlin_rows());
-        StatusQueryEngine { index, type_tree, swlin_tree, arena }
+    /// Rows held.
+    fn len(&self) -> usize {
+        self.type_tree.len()
     }
 
-    /// Builds the engine over the subset `live` (ascending row ids) of an
-    /// existing arena. This is the from-scratch reference for delta
-    /// maintenance (see [`crate::delta`]): removed rows stay in the arena
-    /// as orphans, so a recompute must index only the surviving rows — over
-    /// the *same* arena, in the same ascending-id visit order, so that every
-    /// `f64` aggregation is bit-identical to the maintained engine's.
-    pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
-        debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live rows must ascend");
-        let projected: Vec<LogicalRcc> = live.iter().map(|&r| arena.logical(r)).collect();
-        let index = I::build(&projected);
-        let type_tree = RccTypeTree::build(live.iter().map(|&r| (arena.rcc_type(r), r)));
-        let swlin_tree = SwlinTree::build(live.iter().map(|&r| (arena.swlin(r), r)));
-        StatusQueryEngine { index, type_tree, swlin_tree, arena }
-    }
-
-    /// The underlying logical-time index.
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
-    /// The shared columnar RCC storage.
-    pub fn arena(&self) -> &Arc<RccArena> {
-        &self.arena
+    /// True when the layer holds `row` (membership in its type partition).
+    pub(crate) fn holds(&self, arena: &RccArena, row: RowId) -> bool {
+        self.type_tree.ids_of(arena.rcc_type(row)).binary_search(&row).is_ok()
     }
 
     /// Step 1 of Algorithm StatusQ: `R^M`, the rows satisfying the group-by
     /// predicates (intersection of the type partition and SWLIN subtree).
-    pub fn group_rows(&self, q: &StatusQuery) -> GroupRows<'_> {
+    fn group_rows(&self, q: &StatusQuery) -> GroupRows<'_> {
         match (q.rcc_type, q.swlin_prefix) {
             (None, None) => GroupRows::All,
             (Some(t), None) => GroupRows::Borrowed(self.type_tree.ids_of(t)),
@@ -164,21 +139,18 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
             RccStatus::Settled => self.index.settled_by(q.t_star),
             RccStatus::Created => self.index.created_by(q.t_star),
             // The index's `not_created_by` complements over a dense
-            // `0..len` universe, which breaks once delta maintenance
-            // removes rows (ids go sparse, see `crate::delta`); complement
-            // against the live rows the group trees hold instead. With no
-            // removals the two are identical.
+            // `0..len` universe, but a layer's ids are sparse (the delta
+            // layer holds only recent rows, and a fold skips removed
+            // ones); complement against the rows the group trees hold.
             RccStatus::NotCreated => {
                 difference_sorted(&self.live_rows(), &self.index.created_by(q.t_star))
             }
         }
     }
 
-    /// Every live row id, ascending: the union of the three type-tree
-    /// partitions (disjoint by construction). Delta removal deletes from
-    /// the group trees, so this — not `0..arena.len()` — is the row
-    /// universe status complements and from-scratch rebuilds must use.
-    pub fn live_rows(&self) -> Vec<RowId> {
+    /// Every row id held, ascending: the union of the three disjoint
+    /// type-tree partitions.
+    fn live_rows(&self) -> Vec<RowId> {
         let merged = crate::traits::merge_disjoint_sorted(
             self.type_tree.ids_of(RccType::Growth),
             self.type_tree.ids_of(RccType::NewWork),
@@ -186,8 +158,8 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         crate::traits::merge_disjoint_sorted(&merged, self.type_tree.ids_of(RccType::NewGrowth))
     }
 
-    /// Full Algorithm StatusQ: ascending row ids answering the query.
-    pub fn execute(&self, q: &StatusQuery) -> Vec<RowId> {
+    /// Full Algorithm StatusQ over this layer: ascending row ids.
+    fn execute(&self, q: &StatusQuery) -> Vec<RowId> {
         let status = self.status_rows(q);
         match self.group_rows(q) {
             // Status rows are already a subset of all rows.
@@ -196,49 +168,177 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
             GroupRows::Owned(v) => intersect_sorted(&v, &status),
         }
     }
+}
+
+impl<I: HeapSize> HeapSize for Layer<I> {
+    fn heap_bytes(&self) -> usize {
+        self.index.heap_bytes() + self.type_tree.heap_bytes() + self.swlin_tree.heap_bytes()
+    }
+}
+
+/// Executes Status Queries over a shared columnar [`RccArena`] with a
+/// logical-time index `I` and the two group-by trees.
+///
+/// The engine is layered so that an ingest epoch copies only what it
+/// touches:
+/// * a **base** layer, bulk-built and `Arc`-shared by every epoch since
+///   it was built;
+/// * an owned **delta** layer holding the rows inserted or re-settled
+///   since then;
+/// * an ascending **retired** list of base rows removed or re-settled
+///   since then.
+///
+/// Every query runs Algorithm StatusQ on each layer and merges the
+/// ascending id lists as `(base \ retired) ∪ delta`, so it visits exactly
+/// the live rows a single from-scratch engine would, in the same
+/// ascending order: aggregates are bit-identical to
+/// [`Self::from_arena_rows`] over the live rows. Once the delta and
+/// retired rows together outnumber `√(base rows)`, the next mutation
+/// folds them into a fresh base (amortized `O(√n log n)` per mutation,
+/// and at most `√n` pending rows on every query).
+#[derive(Debug, Clone)]
+pub struct StatusQueryEngine<I> {
+    pub(crate) base: Arc<Layer<I>>,
+    pub(crate) delta: Layer<I>,
+    pub(crate) retired: Vec<RowId>,
+    /// Columnar RCC storage; `Arc` so feature/bench layers can share it
+    /// without cloning columns. Mutations copy-on-write via
+    /// [`Arc::make_mut`], which shares every untouched column chunk.
+    pub(crate) arena: Arc<RccArena>,
+    /// Maintenance epoch: bumped by every applied mutation.
+    pub(crate) epoch: u64,
+}
+
+impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
+    /// Builds the engine for `dataset` using its logical projection
+    /// (`projected[i]` must describe `dataset.rccs()[i]`).
+    pub fn build(dataset: &Dataset, projected: &[LogicalRcc]) -> Self {
+        let arena = Arc::new(RccArena::from_projected(dataset, projected));
+        Self::from_arena(arena)
+    }
+
+    /// Builds the engine over every row of an existing arena (shared, not
+    /// copied).
+    pub fn from_arena(arena: Arc<RccArena>) -> Self {
+        let all: Vec<RowId> = (0..arena.len() as RowId).collect();
+        Self::from_arena_rows(arena, &all)
+    }
+
+    /// Builds the engine over the subset `live` (ascending row ids) of an
+    /// existing arena. This is the from-scratch reference for delta
+    /// maintenance (see [`crate::delta`]): removed rows stay in the arena
+    /// as orphans, so a recompute must index only the surviving rows — over
+    /// the *same* arena, in the same ascending-id visit order, so that every
+    /// `f64` aggregation is bit-identical to the maintained engine's.
+    pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
+        StatusQueryEngine {
+            base: Arc::new(Layer::build(&arena, live)),
+            delta: Layer::build(&arena, &[]),
+            retired: Vec::new(),
+            arena,
+            epoch: 0,
+        }
+    }
+
+    /// The shared columnar RCC storage.
+    pub fn arena(&self) -> &Arc<RccArena> {
+        &self.arena
+    }
+
+    /// The maintenance epoch: the number of mutations applied since the
+    /// engine was built. Memoizing layers key snapshots on it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// True when no mutation is pending outside the base layer.
+    pub(crate) fn is_folded(&self) -> bool {
+        self.delta.len() == 0 && self.retired.is_empty()
+    }
+
+    /// Every live row id, ascending. Delta removal orphans rows in the
+    /// arena, so this — not `0..arena.len()` — is the row universe
+    /// from-scratch rebuilds must use.
+    pub fn live_rows(&self) -> Vec<RowId> {
+        let base = self.base.live_rows();
+        if self.is_folded() {
+            return base;
+        }
+        merge_layers(&base, &self.retired, &self.delta.live_rows())
+    }
+
+    /// True when `row` is currently in the view.
+    pub fn is_live(&self, row: RowId) -> bool {
+        (row as usize) < self.arena.len()
+            && (self.delta.holds(&self.arena, row)
+                || (self.base.holds(&self.arena, row)
+                    && self.retired.binary_search(&row).is_err()))
+    }
+
+    /// Full Algorithm StatusQ: ascending row ids answering the query.
+    pub fn execute(&self, q: &StatusQuery) -> Vec<RowId> {
+        let base = self.base.execute(q);
+        if self.is_folded() {
+            return base;
+        }
+        merge_layers(&base, &self.retired, &self.delta.execute(q))
+    }
 
     /// Executes and aggregates in one pass (the common pipeline call shape).
     pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
-        let ids = self.execute(q);
         let mut agg = StatusAggregate::default();
-        for id in ids {
+        self.arena.for_each_amount_duration(&self.execute(q), |amount, duration| {
             agg.count += 1;
-            agg.sum_amount += self.arena.amount(id);
-            agg.sum_duration += self.arena.duration(id);
-        }
+            agg.sum_amount += amount;
+            agg.sum_duration += duration;
+        });
         agg
     }
 
-    /// SWLIN hierarchy children of `(prefix, len)` present in the data —
-    /// used by harnesses that enumerate group-by nodes.
+    /// SWLIN hierarchy children of `(prefix, len)` present among the live
+    /// rows — used by harnesses that enumerate group-by nodes. A base
+    /// child whose rows are all retired is not present.
     pub fn swlin_children(&self, prefix: u32, len: u32) -> Vec<u32> {
-        self.swlin_tree.child_prefixes(prefix, len)
+        let retired = &self.retired;
+        let mut out = self
+            .base
+            .swlin_tree
+            .child_prefixes_where(prefix, len, |row| retired.binary_search(&row).is_err());
+        out.extend(self.delta.swlin_tree.child_prefixes(prefix, len));
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Closes one applied mutation: bumps the epoch, then folds the delta
+    /// layer and the retired list into a fresh base once they hold more
+    /// than `√(base rows)` rows between them.
+    pub(crate) fn mutated(&mut self) {
+        self.epoch += 1;
+        let pending = self.delta.len() + self.retired.len();
+        if pending * pending > self.base.len() {
+            let live = self.live_rows();
+            self.base = Arc::new(Layer::build(&self.arena, &live));
+            self.delta = Layer::build(&self.arena, &[]);
+            self.retired.clear();
+        }
     }
 }
 
 impl<I: MaintainableIndex> StatusQueryEngine<I> {
     /// Dynamic maintenance (Section 4.1): appends one RCC to the arena and
-    /// inserts it into the logical index and both group trees, O(log n).
-    /// Bumps the index epoch, invalidating memoized snapshots. Returns the
-    /// new dense row id.
+    /// inserts it into the delta layer's logical index and group trees,
+    /// O(log n) plus the amortized fold. Bumps the epoch, invalidating
+    /// memoized snapshots. Returns the new dense row id.
     pub fn insert(&mut self, rcc: &Rcc, avail: &Avail) -> RowId {
-        let arena = Arc::make_mut(&mut self.arena);
-        let row = arena.push(rcc, avail);
-        let lr = arena.logical(row);
-        let inserted = self.index.insert_logical(&lr);
-        debug_assert!(inserted, "fresh row ids cannot collide");
-        self.type_tree.insert(rcc.rcc_type, row);
-        self.swlin_tree.insert(rcc.swlin, row);
+        let row = Arc::make_mut(&mut self.arena).push(rcc, avail);
+        self.delta.insert_row(&self.arena, row);
+        self.mutated();
         row
-    }
-
-    /// The index mutation epoch (see [`MaintainableIndex::current_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.index.current_epoch()
     }
 }
 
-impl<I: LogicalTimeIndex + Sync> StatusQueryEngine<I> {
+impl<I: LogicalTimeIndex + Send + Sync> StatusQueryEngine<I> {
     /// Executes a batch of Status Queries on the shared worker pool,
     /// returning one result per query in input order. Queries are
     /// read-only and independent, so the batch output is identical to
@@ -255,11 +355,34 @@ impl<I: LogicalTimeIndex + Sync> StatusQueryEngine<I> {
 
 impl<I: HeapSize> HeapSize for StatusQueryEngine<I> {
     fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes()
-            + self.type_tree.heap_bytes()
-            + self.swlin_tree.heap_bytes()
+        self.base.heap_bytes()
+            + self.delta.heap_bytes()
+            + self.retired.heap_bytes()
             + self.arena.heap_bytes()
     }
+}
+
+/// `(base \ retired) ∪ delta` for ascending id lists, where `delta` is
+/// disjoint from `base \ retired` (a re-settled row is retired from the
+/// base and held by the delta layer).
+fn merge_layers(base: &[RowId], retired: &[RowId], delta: &[RowId]) -> Vec<RowId> {
+    let mut out = Vec::with_capacity(base.len() + delta.len());
+    let (mut r, mut d) = (0, 0);
+    for &x in base {
+        while r < retired.len() && retired[r] < x {
+            r += 1;
+        }
+        if r < retired.len() && retired[r] == x {
+            continue;
+        }
+        while d < delta.len() && delta[d] < x {
+            out.push(delta[d]);
+            d += 1;
+        }
+        out.push(x);
+    }
+    out.extend_from_slice(&delta[d..]);
+    out
 }
 
 /// Ascending `a \ b` for sorted id lists.
@@ -413,9 +536,10 @@ mod tests {
             status: RccStatus::Created,
             t_star: 50.0,
         };
-        assert!(matches!(eng.group_rows(&base), GroupRows::All));
+        // The base layer answers step 1 of every query.
+        assert!(matches!(eng.base.group_rows(&base), GroupRows::All));
         let by_type = StatusQuery { rcc_type: Some(RccType::Growth), ..base };
-        match eng.group_rows(&by_type) {
+        match eng.base.group_rows(&by_type) {
             GroupRows::Borrowed(s) => {
                 // Borrowed straight from the type tree, not a copy.
                 let want: Vec<RowId> = ds
@@ -430,11 +554,9 @@ mod tests {
             other => panic!("type-only arm must borrow, got {other:?}"),
         }
         assert!(matches!(
-            eng.group_rows(&StatusQuery { swlin_prefix: Some((4, 1)), ..base }),
+            eng.base.group_rows(&StatusQuery { swlin_prefix: Some((4, 1)), ..base }),
             GroupRows::Owned(_)
         ));
-        // to_vec materializes the All arm over the full row universe.
-        assert_eq!(eng.group_rows(&base).to_vec(3), vec![0, 1, 2]);
     }
 
     #[test]

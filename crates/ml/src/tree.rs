@@ -444,16 +444,10 @@ impl<'a> Builder<'a> {
             let r = order[w] as usize;
             gl += self.grad[r];
             hl += self.hess[r];
-            let v = column[r];
-            let v_next = column[order[w + 1] as usize];
-            // Midpoint threshold generalizes better than the left value
-            // itself. Equal values cannot be separated, and neither can a
-            // NaN next to anything: its midpoint is NaN, and `x <= NaN`
-            // sends every row right.
-            let threshold = 0.5 * (v + v_next);
-            if v == v_next || threshold.is_nan() {
+            let Some(threshold) = split_threshold(column[r], column[order[w + 1] as usize])
+            else {
                 continue;
-            }
+            };
             let gr = g_sum - gl;
             let hr = h_sum - hl;
             // Child support: hessian mass (XGBoost semantics) *or*
@@ -541,6 +535,27 @@ impl<'a> Builder<'a> {
             }
         }
         best
+    }
+}
+
+/// The threshold of the exact-search boundary between adjacent sorted
+/// values `v <= v_next`, or `None` when no `x <= t` rule separates them.
+///
+/// The midpoint generalizes better than the left value itself, but it
+/// must lie in `[v, v_next)` for `x <= t` to send `v` left and `v_next`
+/// right. It does not when the sum overflows to `±inf`, when `v_next` is
+/// `+inf`, or when `v` and `v_next` are adjacent floats and the midpoint
+/// rounds up to `v_next` (0.3 next to 0.30000000000000004); those
+/// boundaries split at `t = v`. Equal values cannot be separated, and
+/// neither can a NaN next to anything: its midpoint is NaN.
+fn split_threshold(v: f64, v_next: f64) -> Option<f64> {
+    let mid = 0.5 * (v + v_next);
+    if v == v_next || mid.is_nan() {
+        None
+    } else if v <= mid && mid < v_next {
+        Some(mid)
+    } else {
+        Some(v)
     }
 }
 
@@ -758,15 +773,13 @@ mod tests {
                 let r = order[w];
                 gl += self.grad[r];
                 hl += self.hess[r];
-                let v = self.x.get(r, f);
-                let v_next = self.x.get(order[w + 1], f);
-                // The one deviation from the replaced code, shared with the
-                // production scan: a NaN midpoint is no candidate (the old
-                // code let it win a split that moves no row).
-                let threshold = 0.5 * (v + v_next);
-                if v == v_next || threshold.is_nan() {
+                // The one deviation from the replaced code: the boundary
+                // rule is the production scan's own `split_threshold`, so
+                // no boundary that moves no row is a candidate.
+                let Some(threshold) = split_threshold(self.x.get(r, f), self.x.get(order[w + 1], f))
+                else {
                     continue;
-                }
+                };
                 let gr = g_sum - gl;
                 let hr = h_sum - hl;
                 let nl = (w + 1) as f64;
@@ -932,6 +945,26 @@ mod tests {
         match t.nodes[0] {
             Node::Split { threshold, .. } => assert!(threshold.is_finite(), "{threshold}"),
             Node::Leaf { .. } => panic!("finite values are separable"),
+        }
+    }
+
+    #[test]
+    fn boundaries_whose_midpoint_leaves_the_gap_split_at_the_left_value() {
+        // Each column's two values hold opposite gradients. A threshold of
+        // `v_next` or `+inf` would keep every row left; the split must
+        // separate them at `t = v`.
+        let adjacent = 0.30000000000000004;
+        assert_eq!(0.5 * (0.3 + adjacent), adjacent, "the midpoint rounds up");
+        for (v, v_next) in [(0.3, adjacent), (1.0, f64::INFINITY), (1e308, 1.7e308)] {
+            let x = DenseMatrix::from_rows(vec![v, v, v_next, v_next], 4, 1);
+            let grad = [-1.0, -1.0, 1.0, 1.0];
+            let params = TreeParams { max_depth: 1, min_child_weight: 0.0, ..Default::default() };
+            let t = RegressionTree::fit(&x, &grad, &[1.0; 4], &[0, 1, 2, 3], &[0], params);
+            match t.nodes[0] {
+                Node::Split { threshold, .. } => assert_eq!(threshold, v, "{v} | {v_next}"),
+                Node::Leaf { .. } => panic!("{v} | {v_next} is separable"),
+            }
+            assert!(t.predict_row(&[v]) > 0.0 && t.predict_row(&[v_next]) < 0.0, "{v} | {v_next}");
         }
     }
 

@@ -8,16 +8,20 @@
 //! `domd_index::EpochStore` is what makes a torn read impossible: a
 //! request either sees the whole old epoch or the whole new one.
 //!
-//! Ingest is copy-on-write (`Dataset` clone + `StatusQueryEngine` clone
-//! with `Arc::make_mut` arena sharing), so building epoch `e + 1` never
-//! perturbs readers pinned on `e`. Epoch `e + 1` is delta-maintained,
-//! not rebuilt: the batch becomes a [`domd_index::RccDelta`] stream
-//! applied through the engine's incremental path (each insert touches
-//! only its SWLIN/type root-to-leaf paths), and the dataset view is a
-//! sorted merge ([`Dataset::with_rccs_merged`], `O(n + k)`) instead of
+//! Ingest is copy-on-write, and the copy is structurally shared: cloning
+//! a snapshot clones the `Arc<Dataset>` and a `StatusQueryEngine` whose
+//! bulk-built base layer and arena column chunks are `Arc`-shared, so the
+//! clone copies only the engine's small delta layer and the arena's tail
+//! chunk. Building epoch `e + 1` never perturbs readers pinned on `e`.
+//! Epoch `e + 1` is delta-maintained, not rebuilt: the batch becomes a
+//! [`domd_index::RccDelta`] stream applied through the engine's
+//! incremental path (each insert enters the delta layer, touching only
+//! its SWLIN/type root-to-leaf paths), and the dataset view is a sorted
+//! merge ([`Dataset::with_rccs_merged`], `O(n + k log n)`) instead of
 //! `Dataset::new`'s full re-sort — both bit-identical to a from-scratch
 //! rebuild, which the `delta_equivalence` and `snapshot_isolation`
-//! suites re-check after every batch.
+//! suites re-check after every batch. The dataset merge still copies the
+//! whole RCC table once per epoch.
 
 use std::sync::Arc;
 

@@ -13,9 +13,10 @@
 # iterating on a change.
 #
 # Stage 2 (`full`, what CI and pre-send runs use): every integration and
-# property suite of every crate in one `cargo test --workspace --tests`
-# run under a 2-worker pool, so scheduling-dependent output fails the
-# gate; then the end-to-end smokes, which drive release binaries:
+# property suite of every crate in one `cargo test --workspace --test '*'`
+# run under a 2-worker pool (integration targets only: Stage 1 already
+# ran the lib and bin unit tests), so scheduling-dependent output fails
+# the gate; then the end-to-end smokes, which drive release binaries:
 # * a tiny-scale run of the gbt bench, whose identity gates prove the
 #   branchless kernel bit-identical to the pointer walker before timing;
 # * `domd serve` over the line protocol: one request of every type plus
@@ -57,7 +58,7 @@ fi
 # delta-maintenance, flat-kernel, durability, crash-recovery, serving and
 # kill–restart chaos suites, the v1→v2 migration suite, and the property
 # suites (`prop_*`, `heap_size`, the analyzer's `workspace_clean`).
-DOMD_THREADS=2 cargo test -q --workspace --tests
+DOMD_THREADS=2 cargo test -q --workspace --test '*'
 
 # Flat-forest kernel smoke: a tiny-scale run of the gbt bench (its
 # built-in identity gates assert before any timing).
