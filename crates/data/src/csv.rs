@@ -125,19 +125,59 @@ pub fn write_rccs(dataset: &Dataset) -> String {
     out
 }
 
-fn fields(line: &str, want: usize, line_no: usize) -> Result<Vec<&str>, CsvError> {
-    let f: Vec<&str> = line.split(',').collect();
-    if f.len() != want {
-        return Err(CsvError::at_line(line_no, format!("expected {want} fields, got {}", f.len())));
+/// Splits one row into exactly `N` comma-separated fields in one byte
+/// pass, without allocating; any other field count is a row error.
+fn fields<const N: usize>(line: &str, line_no: usize) -> Result<[&str; N], CsvError> {
+    let mut out = [""; N];
+    let mut n = 0usize;
+    let mut start = 0usize;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if b == b',' {
+            if let Some(slot) = out.get_mut(n) {
+                *slot = &line[start..i];
+            }
+            n += 1;
+            start = i + 1;
+        }
     }
-    Ok(f)
+    if let Some(slot) = out.get_mut(n) {
+        *slot = &line[start..];
+    }
+    n += 1;
+    if n != N {
+        return Err(CsvError::at_line(line_no, format!("expected {N} fields, got {n}")));
+    }
+    Ok(out)
+}
+
+/// `str::trim` without its two UTF-8 decodes when the field starts and
+/// ends with a visible ASCII byte, as every field an export writes does;
+/// no such byte is whitespace, so the result is the same.
+fn trim(s: &str) -> &str {
+    let visible = |b: Option<&u8>| b.is_some_and(|&b| b > b' ' && b.is_ascii());
+    if visible(s.as_bytes().first()) && visible(s.as_bytes().last()) {
+        s
+    } else {
+        s.trim()
+    }
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &'static str, line_no: usize) -> Result<T, CsvError>
 where
     T::Err: std::fmt::Display,
 {
-    s.trim().parse().map_err(|e| CsvError::at_field(line_no, what, format!("bad value {s:?}: {e}")))
+    trim(s).parse().map_err(|e| CsvError::at_field(line_no, what, format!("bad value {s:?}: {e}")))
+}
+
+/// [`parse`] for a `u32`, reading one to nine ASCII digits (every id an
+/// export writes) directly; any other text takes `str::parse`, so the
+/// value or error is the same either way.
+fn parse_u32(s: &str, what: &'static str, line_no: usize) -> Result<u32, CsvError> {
+    let b = s.as_bytes();
+    if (1..=9).contains(&b.len()) && b.iter().all(u8::is_ascii_digit) {
+        return Ok(b.iter().fold(0, |n, &d| n * 10 + u32::from(d - b'0')));
+    }
+    parse(s, what, line_no)
 }
 
 fn parse_finite(s: &str, what: &'static str, line_no: usize) -> Result<f64, CsvError> {
@@ -165,15 +205,15 @@ fn check_header(
 
 /// Parses one avail-table data row.
 fn parse_avail_row(line: &str, line_no: usize) -> Result<Avail, CsvError> {
-    let f = fields(line, 11, line_no)?;
-    let actual_end: Option<Date> = if f[5].trim().is_empty() {
+    let f = fields::<11>(line, line_no)?;
+    let actual_end: Option<Date> = if trim(f[5]).is_empty() {
         None
     } else {
         Some(parse(f[5], "actual_end", line_no)?)
     };
     Ok(Avail {
-        id: AvailId(parse(f[0], "avail_id", line_no)?),
-        ship: ShipId(parse(f[1], "ship_id", line_no)?),
+        id: AvailId(parse_u32(f[0], "avail_id", line_no)?),
+        ship: ShipId(parse_u32(f[1], "ship_id", line_no)?),
         plan_start: parse(f[2], "plan_start", line_no)?,
         plan_end: parse(f[3], "plan_end", line_no)?,
         actual_start: parse(f[4], "actual_start", line_no)?,
@@ -182,7 +222,7 @@ fn parse_avail_row(line: &str, line_no: usize) -> Result<Avail, CsvError> {
             ship_class: parse(f[6], "ship_class", line_no)?,
             rmc_id: parse(f[7], "rmc_id", line_no)?,
             ship_age_years: parse_finite(f[8], "ship_age_years", line_no)?,
-            prior_avail_count: parse(f[9], "prior_avail_count", line_no)?,
+            prior_avail_count: parse_u32(f[9], "prior_avail_count", line_no)?,
             prior_avg_delay: parse_finite(f[10], "prior_avg_delay", line_no)?,
         },
     })
@@ -190,22 +230,29 @@ fn parse_avail_row(line: &str, line_no: usize) -> Result<Avail, CsvError> {
 
 /// Parses one RCC-table data row.
 fn parse_rcc_row(line: &str, line_no: usize) -> Result<Rcc, CsvError> {
-    let f = fields(line, 7, line_no)?;
-    let rcc_type: RccType = f[2]
-        .trim()
+    let f = fields::<7>(line, line_no)?;
+    let rcc_type: RccType = trim(f[2])
         .parse()
         .map_err(|e| CsvError::at_field(line_no, "rcc_type", e))?;
     let swlin: Swlin =
-        f[3].trim().parse().map_err(|e| CsvError::at_field(line_no, "swlin", e))?;
+        trim(f[3]).parse().map_err(|e| CsvError::at_field(line_no, "swlin", e))?;
     Ok(Rcc {
-        id: RccId(parse(f[0], "rcc_id", line_no)?),
-        avail: AvailId(parse(f[1], "avail_id", line_no)?),
+        id: RccId(parse_u32(f[0], "rcc_id", line_no)?),
+        avail: AvailId(parse_u32(f[1], "avail_id", line_no)?),
         rcc_type,
         swlin,
         created: parse(f[4], "created", line_no)?,
         settled: parse(f[5], "settled", line_no)?,
         amount: parse_finite(f[6], "amount", line_no)?,
     })
+}
+
+/// Lines after the header, counting an unterminated last line: exactly
+/// the rows of an extract without blank lines, so reading one allocates
+/// its row vector once, at its final size.
+fn data_line_count(text: &str) -> usize {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count();
+    (newlines + usize::from(!text.ends_with('\n'))).saturating_sub(1)
 }
 
 fn read_table<T>(
@@ -216,9 +263,9 @@ fn read_table<T>(
 ) -> Result<Vec<T>, CsvError> {
     let mut lines = text.lines().enumerate();
     check_header(&mut lines, header, table)?;
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(data_line_count(text));
     for (i, line) in lines {
-        if line.trim().is_empty() {
+        if trim(line).is_empty() {
             continue;
         }
         out.push(parse_row(line, i + 1)?);
@@ -244,10 +291,10 @@ fn read_table_lenient<T>(
 ) -> Result<LenientTable<T>, CsvError> {
     let mut lines = text.lines().enumerate();
     check_header(&mut lines, header, table)?;
-    let mut rows = Vec::new();
+    let mut rows = Vec::with_capacity(data_line_count(text));
     let mut quarantined = Vec::new();
     for (i, line) in lines {
-        if line.trim().is_empty() {
+        if trim(line).is_empty() {
             continue;
         }
         let line_no = i + 1;
@@ -288,7 +335,7 @@ pub fn read_rccs_lenient(text: &str) -> Result<LenientTable<Rcc>, CsvError> {
     read_table_lenient(text, RCC_HEADER, "RCC", parse_rcc_row)
 }
 
-/// Serializes both tables and reassembles a [`Dataset`] from the pair.
+/// Parses both tables strictly and assembles a [`Dataset`] from the pair.
 pub fn read_dataset(avail_csv: &str, rcc_csv: &str) -> Result<Dataset, CsvError> {
     Ok(Dataset::new(read_avails(avail_csv)?, read_rccs(rcc_csv)?))
 }
@@ -418,5 +465,324 @@ mod tests {
         let out = read_rccs_lenient(&write_rccs(&ds)).unwrap();
         assert!(out.quarantined.is_empty());
         assert_eq!(out.rows.len(), ds.rccs().len());
+    }
+
+    /// The row parsers as they stood before the allocation-free rewrite
+    /// (a `Vec` of fields per row, a `String` per SWLIN, `split` + `parse`
+    /// per date), kept as the reference the production parsers must match
+    /// result for result and message for message.
+    mod oracle {
+        use crate::avail::{Avail, AvailId, ShipId, StaticAttrs};
+        use crate::csv::CsvError;
+        use crate::date::{Date, DateError};
+        use crate::rcc::{Rcc, RccId, RccType, Swlin};
+
+        fn date(s: &str) -> Result<Date, DateError> {
+            let bad = || DateError::Unparsable(s.to_string());
+            if s.contains('/') {
+                let mut it = s.split('/');
+                let m: u32 = it.next().ok_or_else(bad)?.trim().parse().map_err(|_| bad())?;
+                let d: u32 = it.next().ok_or_else(bad)?.trim().parse().map_err(|_| bad())?;
+                let ys = it.next().ok_or_else(bad)?.trim();
+                if it.next().is_some() {
+                    return Err(bad());
+                }
+                let mut y: i32 = ys.parse().map_err(|_| bad())?;
+                if ys.len() <= 2 {
+                    y += 2000;
+                }
+                Date::from_ymd(y, m, d)
+            } else if s.contains('-') {
+                let mut it = s.split('-');
+                let y: i32 = it.next().ok_or_else(bad)?.trim().parse().map_err(|_| bad())?;
+                let m: u32 = it.next().ok_or_else(bad)?.trim().parse().map_err(|_| bad())?;
+                let d: u32 = it.next().ok_or_else(bad)?.trim().parse().map_err(|_| bad())?;
+                if it.next().is_some() {
+                    return Err(bad());
+                }
+                Date::from_ymd(y, m, d)
+            } else {
+                Err(bad())
+            }
+        }
+
+        fn swlin(s: &str) -> Result<Swlin, String> {
+            let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
+            let seps: usize = s.chars().filter(|&c| c == '-').count();
+            if digits.len() != 8 || (s.len() != digits.len() + seps) {
+                return Err(format!("SWLIN must contain exactly 8 digits: {s:?}"));
+            }
+            let packed: u32 = digits.parse().map_err(|_| format!("bad SWLIN {s:?}"))?;
+            Swlin::from_packed(packed)
+        }
+
+        fn fields(line: &str, want: usize, line_no: usize) -> Result<Vec<&str>, CsvError> {
+            let f: Vec<&str> = line.split(',').collect();
+            if f.len() != want {
+                return Err(CsvError::at_line(
+                    line_no,
+                    format!("expected {want} fields, got {}", f.len()),
+                ));
+            }
+            Ok(f)
+        }
+
+        fn parse<T: std::str::FromStr>(
+            s: &str,
+            what: &'static str,
+            line_no: usize,
+        ) -> Result<T, CsvError>
+        where
+            T::Err: std::fmt::Display,
+        {
+            s.trim()
+                .parse()
+                .map_err(|e| CsvError::at_field(line_no, what, format!("bad value {s:?}: {e}")))
+        }
+
+        fn parse_date(s: &str, what: &'static str, line_no: usize) -> Result<Date, CsvError> {
+            date(s.trim())
+                .map_err(|e| CsvError::at_field(line_no, what, format!("bad value {s:?}: {e}")))
+        }
+
+        fn parse_finite(s: &str, what: &'static str, line_no: usize) -> Result<f64, CsvError> {
+            let v: f64 = parse(s, what, line_no)?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(CsvError::at_field(line_no, what, format!("non-finite value {s:?}")))
+            }
+        }
+
+        pub fn avail_row(line: &str, line_no: usize) -> Result<Avail, CsvError> {
+            let f = fields(line, 11, line_no)?;
+            let actual_end: Option<Date> = if f[5].trim().is_empty() {
+                None
+            } else {
+                Some(parse_date(f[5], "actual_end", line_no)?)
+            };
+            Ok(Avail {
+                id: AvailId(parse(f[0], "avail_id", line_no)?),
+                ship: ShipId(parse(f[1], "ship_id", line_no)?),
+                plan_start: parse_date(f[2], "plan_start", line_no)?,
+                plan_end: parse_date(f[3], "plan_end", line_no)?,
+                actual_start: parse_date(f[4], "actual_start", line_no)?,
+                actual_end,
+                statics: StaticAttrs {
+                    ship_class: parse(f[6], "ship_class", line_no)?,
+                    rmc_id: parse(f[7], "rmc_id", line_no)?,
+                    ship_age_years: parse_finite(f[8], "ship_age_years", line_no)?,
+                    prior_avail_count: parse(f[9], "prior_avail_count", line_no)?,
+                    prior_avg_delay: parse_finite(f[10], "prior_avg_delay", line_no)?,
+                },
+            })
+        }
+
+        pub fn rcc_row(line: &str, line_no: usize) -> Result<Rcc, CsvError> {
+            let f = fields(line, 7, line_no)?;
+            let rcc_type: RccType = f[2]
+                .trim()
+                .parse()
+                .map_err(|e| CsvError::at_field(line_no, "rcc_type", e))?;
+            let swlin: Swlin =
+                swlin(f[3].trim()).map_err(|e| CsvError::at_field(line_no, "swlin", e))?;
+            Ok(Rcc {
+                id: RccId(parse(f[0], "rcc_id", line_no)?),
+                avail: AvailId(parse(f[1], "avail_id", line_no)?),
+                rcc_type,
+                swlin,
+                created: parse_date(f[4], "created", line_no)?,
+                settled: parse_date(f[5], "settled", line_no)?,
+                amount: parse_finite(f[6], "amount", line_no)?,
+            })
+        }
+    }
+
+    /// An avail row with its floats as bits, so `-0.0` and `0.0` differ.
+    type AvailKey = (u32, u32, Date, Date, Date, Option<Date>, u8, u8, u64, u32, u64);
+    /// An RCC row with its amount as bits.
+    type RccKey = (u32, u32, RccType, Swlin, Date, Date, u64);
+    /// A quarantined row's every field.
+    type QuarantineKey = (&'static str, usize, Option<&'static str>, String, String);
+
+    fn avail_key(a: &Avail) -> AvailKey {
+        let s = &a.statics;
+        (
+            a.id.0,
+            a.ship.0,
+            a.plan_start,
+            a.plan_end,
+            a.actual_start,
+            a.actual_end,
+            s.ship_class,
+            s.rmc_id,
+            s.ship_age_years.to_bits(),
+            s.prior_avail_count,
+            s.prior_avg_delay.to_bits(),
+        )
+    }
+
+    fn rcc_key(r: &Rcc) -> RccKey {
+        (r.id.0, r.avail.0, r.rcc_type, r.swlin, r.created, r.settled, r.amount.to_bits())
+    }
+
+    fn quarantine_keys(q: &[QuarantinedRow]) -> Vec<QuarantineKey> {
+        q.iter().map(|q| (q.table, q.line, q.field, q.reason.clone(), q.raw.clone())).collect()
+    }
+
+    /// Strict and lenient reads of `text` through the production row
+    /// parser and through the reference one agree row for row (floats to
+    /// the bit) and error for error (line, field and message).
+    fn assert_parsers_agree<T, K: PartialEq + std::fmt::Debug>(
+        text: &str,
+        header: &str,
+        table: &'static str,
+        production: fn(&str, usize) -> Result<T, CsvError>,
+        reference: fn(&str, usize) -> Result<T, CsvError>,
+        key: fn(&T) -> K,
+    ) {
+        let strict = |parse_row: fn(&str, usize) -> Result<T, CsvError>| {
+            read_table(text, header, table, parse_row).map(|rows| rows.iter().map(key).collect())
+        };
+        let got: Result<Vec<K>, CsvError> = strict(production);
+        assert_eq!(got, strict(reference), "strict {table} read of {text:?}");
+        let lenient = |parse_row: fn(&str, usize) -> Result<T, CsvError>| {
+            read_table_lenient(text, header, table, parse_row).map(|t| {
+                let rows: Vec<(usize, K)> = t.rows.iter().map(|(l, r)| (*l, key(r))).collect();
+                (rows, quarantine_keys(&t.quarantined))
+            })
+        };
+        assert_eq!(lenient(production), lenient(reference), "lenient {table} read of {text:?}");
+    }
+
+    fn assert_avails_agree(text: &str) {
+        assert_parsers_agree(text, AVAIL_HEADER, "avail", parse_avail_row, oracle::avail_row, avail_key);
+    }
+
+    fn assert_rccs_agree(text: &str) {
+        assert_parsers_agree(text, RCC_HEADER, "RCC", parse_rcc_row, oracle::rcc_row, rcc_key);
+    }
+
+    #[test]
+    fn parsers_match_the_reference_on_generated_extracts() {
+        for seed in [1, 7, 31, 2024] {
+            let ds = generate(&GeneratorConfig { n_avails: 20, target_rccs: 800, scale: 1, seed });
+            let (avails, rccs) = (write_avails(&ds), write_rccs(&ds));
+            assert_avails_agree(&avails);
+            assert_rccs_agree(&rccs);
+            // The production readers themselves, not just the row parsers.
+            let back = read_dataset(&avails, &rccs).unwrap();
+            assert_eq!(back.rccs().iter().map(rcc_key).collect::<Vec<_>>(),
+                ds.rccs().iter().map(rcc_key).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn parsers_match_the_reference_under_every_corruption_kind() {
+        let ds = small();
+        let (avails, rccs) = (write_avails(&ds), write_rccs(&ds));
+        let mut seen = Vec::new();
+        for seed in 0..300u64 {
+            let (bad_avails, kind) = crate::fault::corrupt_text(&avails, seed);
+            assert_avails_agree(&bad_avails);
+            let (bad_rccs, kind2) = crate::fault::corrupt_text(&rccs, seed ^ 0x5EED);
+            assert_rccs_agree(&bad_rccs);
+            seen.extend([kind, kind2]);
+        }
+        for kind in crate::fault::FaultKind::ALL {
+            assert!(seen.contains(&kind), "no scenario drew {kind}");
+        }
+    }
+
+    #[test]
+    fn parsers_match_the_reference_on_hand_cases() {
+        let rcc_rows = [
+            "1,5,G,434-11-001,3/22/20,6/16/20,8000",
+            " 1 , 5 , G , 434-11-001 , 3/22/20 , 6/16/20 , 8000 ",
+            "1,5,NW,434-11-001,3/22/20,6/16/20,8000",
+            "1,5,N,43411001,3/22/20,6/16/20,-0",
+            "1,5,NG,--434-11--001-,03/02/2020,6/16/2020,1e3",
+            "+1,+5,G,434-11-001,+3/22/+20,6/+16/20,+5",
+            "1,5,G,434-11-001,3/22/5,6/16/05,1",
+            "1,5,G,434-11-001,3/22/020,6/16/0020,1",
+            "1,5,G,434-11-001,3/22/12345,6/16/99999,1",
+            "1,5,G,434-11-001,2020-03-22,2020-6-16,1",
+            "1,5,G,434-11-001, 3 / 22 / 20 ,6/16/20,1",
+            "1,5,G,434-11-001,3/22/-5,6/16/-2020,1",
+            "1,5,G,434-11-001,-3/22/20,6/16/20,1",
+            "1,5,G,434-11-001,3/22/20/1,6/16/20,1",
+            "1,5,G,434-11-001,3//20,6/16/20,1",
+            "1,5,G,434-11-001,3/22/,6/16/20,1",
+            "1,5,G,434-11-001,/22/20,6/16/20,1",
+            "1,5,G,434-11-001,13/1/20,2/30/20,1",
+            "1,5,G,434-11-001,2020-03,2020-03-22-1,1",
+            "1,5,G,434-11-001,1/1/7000000,6/16/20,1",
+            "1,5,G,434-11-001,1/1/-2147483648,6/16/20,1",
+            "1,5,G,434-11-001,3/22/20x,6/16/20,1",
+            "1,5,G,434-11-001,\u{0663}/22/20,6/16/20,1",
+            "1,5,G,434-11-00\u{0661},3/22/20,6/16/20,1",
+            "1,5,G,434-11-00\u{FF11},3/22/20,6/16/20,1",
+            "1,5,G,434-11-01,3/22/20,6/16/20,1",
+            "1,5,G,434-11-0011,3/22/20,6/16/20,1",
+            "1,5,G,434 11 001,3/22/20,6/16/20,1",
+            "1,5,G,--------,3/22/20,6/16/20,1",
+            "1,5,G,434-11-001,3/22/20,6/16/20,8000,",
+            "1,5,G,434-11-001,3/22/20,6/16/20",
+            "1,5,G,,3/22/20,6/16/20,1",
+            "1,5,,434-11-001,3/22/20,6/16/20,1",
+            ",,,,,,",
+            ",,,,,,,,,,,,,,",
+            "1,5,G,434-11-001,,6/16/20,1",
+            "1,5,X,434-11-001,3/22/20,6/16/20,NaN",
+            "1,5,G,434-11-001,3/22/20,6/16/20,inf",
+        ];
+        let avail_rows = [
+            "1,2,1/1/20,6/1/20,1/1/20,,0,0,10.0,1,5.0",
+            " 1 , 2 , 1/1/20 , 6/1/2020 , 1/1/20 , 7/1/20 , 0 , 0 , 10.0 , 1 , -0.0 ",
+            "1,2,1/1/20,6/1/20,1/1/20,   ,0,0,10.0,1,5.0",
+            "1,2,2020-01-01,+6/1/20,1/1/5,1/1/0005,0,0,1e1,1,5",
+            "1,2,1/1/20,6/1/20,1/1/20,1/1/7000000,0,0,10.0,1,5.0",
+            "1,2,1/1/20,6/1/20,1/1/20,,0,0,10.0,1,5.0,",
+            "1,2,1/1/20,6/1/20,1/1/20,,0,0,10.0,1",
+            "1,2,1/1/20,6/1/20,1/1/20,,256,0,10.0,1,5.0",
+            "1,2,1/1/20,6/\u{0661}/20,1/1/20,,0,0,10.0,1,5.0",
+            ",,,,,,,,,,",
+        ];
+        for row in rcc_rows {
+            for eol in ["\n", "\r\n", ""] {
+                assert_rccs_agree(&format!("{RCC_HEADER}{eol}{row}{eol}"));
+            }
+        }
+        for row in avail_rows {
+            for eol in ["\n", "\r\n", ""] {
+                assert_avails_agree(&format!("{AVAIL_HEADER}{eol}{row}{eol}"));
+            }
+        }
+        // All at once: strict stops at the first bad line, lenient keeps
+        // going with the same line numbers.
+        assert_rccs_agree(&format!("{RCC_HEADER}\n{}\n", rcc_rows.join("\n")));
+        assert_avails_agree(&format!("{AVAIL_HEADER}\r\n{}\r\n\r\n", avail_rows.join("\r\n")));
+    }
+
+    #[test]
+    fn overflowing_year_is_refused_in_its_field() {
+        let text = format!("{RCC_HEADER}\n1,5,G,434-11-001,1/1/7000000,6/16/20,8000\n");
+        let e = read_rccs(&text).unwrap_err();
+        assert_eq!((e.line, e.field), (2, Some("created")), "{e}");
+        assert!(e.message.contains("invalid calendar date"), "{e}");
+        let lenient = read_rccs_lenient(&text).unwrap();
+        assert!(lenient.rows.is_empty());
+        assert_eq!(lenient.quarantined[0].field, Some("created"));
+    }
+
+    #[test]
+    fn row_vectors_are_reserved_at_their_final_size() {
+        let ds = small();
+        let text = write_rccs(&ds);
+        assert_eq!(data_line_count(&text), ds.rccs().len());
+        assert_eq!(data_line_count(text.trim_end()), ds.rccs().len());
+        assert_eq!(data_line_count(""), 0);
+        assert_eq!(data_line_count(RCC_HEADER), 0);
+        assert_eq!(read_rccs(&text).unwrap().capacity(), ds.rccs().len());
     }
 }

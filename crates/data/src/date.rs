@@ -63,15 +63,17 @@ pub fn days_in_month(year: i32, month: u32) -> u32 {
     }
 }
 
-/// Days since epoch of the civil triple (Hinnant's `days_from_civil`).
-fn days_from_civil(y: i32, m: u32, d: u32) -> i32 {
-    let y = if m <= 2 { y - 1 } else { y };
+/// Days since epoch of the civil triple (Hinnant's `days_from_civil`),
+/// or `None` when the count does not fit the `i32` a [`Date`] holds.
+/// Computed in `i64` throughout, so no intermediate step can wrap.
+fn days_from_civil(y: i32, m: u32, d: u32) -> Option<i32> {
+    let y = i64::from(y) - i64::from(m <= 2);
     let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as i64; // [0, 399]
-    let mp = ((m as i64) + 9) % 12; // Mar=0 .. Feb=11
-    let doy = (153 * mp + 2) / 5 + (d as i64) - 1; // [0, 365]
+    let yoe = y - era * 400; // [0, 399]
+    let mp = (i64::from(m) + 9) % 12; // Mar=0 .. Feb=11
+    let doy = (153 * mp + 2) / 5 + i64::from(d) - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    (era as i64 * 146_097 + doe - 719_468) as i32
+    i32::try_from(era * 146_097 + doe - 719_468).ok()
 }
 
 /// Civil triple of days since epoch (Hinnant's `civil_from_days`).
@@ -90,12 +92,15 @@ fn civil_from_days(z: i32) -> (i32, u32, u32) {
 }
 
 impl Date {
-    /// Construct a date from year, 1-based month, and 1-based day.
+    /// Construct a date from year, 1-based month, and 1-based day. A
+    /// year so far out that its day count overflows `i32` (beyond about
+    /// ±5.8 million years) is invalid too.
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Result<Self, DateError> {
+        let invalid = DateError::InvalidComponents { year, month, day };
         if !(1..=12).contains(&month) || day == 0 || day > days_in_month(year, month) {
-            return Err(DateError::InvalidComponents { year, month, day });
+            return Err(invalid);
         }
-        Ok(Date(days_from_civil(year, month, day)))
+        days_from_civil(year, month, day).map(Date).ok_or(invalid)
     }
 
     /// Construct directly from a days-since-epoch count.
@@ -164,6 +169,9 @@ impl FromStr for Date {
 
     /// Parses `M/D/YYYY` (paper style, 2- or 4-digit year) or ISO `YYYY-MM-DD`.
     fn from_str(s: &str) -> Result<Self, DateError> {
+        if let Some((y, m, d)) = canonical_mdy(s) {
+            return Date::from_ymd(y, m, d);
+        }
         let bad = || DateError::Unparsable(s.to_string());
         if s.contains('/') {
             let mut it = s.split('/');
@@ -192,6 +200,33 @@ impl FromStr for Date {
             Err(bad())
         }
     }
+}
+
+/// The form every extract writes, `M/D/Y` with nothing but 1–4 ASCII
+/// digits per part, as `(year, month, day)`; `None` for any other shape
+/// (padding, signs, ISO, longer parts), which the general parser in
+/// [`Date::from_str`] handles. Accepts exactly what that parser would and
+/// yields the same triple, including the 20xx reading of a one- or
+/// two-digit year.
+fn canonical_mdy(s: &str) -> Option<(i32, u32, u32)> {
+    let mut parts = s.as_bytes().split(|&b| b == b'/');
+    let (month, _) = short_digits(parts.next()?)?;
+    let (day, _) = short_digits(parts.next()?)?;
+    let (year, width) = short_digits(parts.next()?)?;
+    if parts.next().is_some() {
+        return None;
+    }
+    // Two-digit years in the paper's tables are all 20xx.
+    let century = if width <= 2 { 2000 } else { 0 };
+    Some((year as i32 + century, month, day))
+}
+
+/// The value and width of 1–4 ASCII digits; `None` for anything else.
+fn short_digits(part: &[u8]) -> Option<(u32, usize)> {
+    if !(1..=4).contains(&part.len()) || !part.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    Some((part.iter().fold(0, |n, &b| n * 10 + u32::from(b - b'0')), part.len()))
 }
 
 #[cfg(test)]
@@ -240,6 +275,40 @@ mod tests {
         assert!(Date::from_ymd(2023, 4, 31).is_err());
         assert!("not-a-date".parse::<Date>().is_err());
         assert!("1/2".parse::<Date>().is_err());
+    }
+
+    #[test]
+    fn rejects_day_counts_beyond_i32() {
+        // Year 7,000,000 is ~2.56e9 days out: past i32::MAX, so it once
+        // wrapped to a date in year -4,759,222.
+        let err = "1/1/7000000".parse::<Date>().unwrap_err();
+        assert_eq!(err, DateError::InvalidComponents { year: 7_000_000, month: 1, day: 1 });
+        assert!("-7000000-01-01".parse::<Date>().is_err());
+        assert!(Date::from_ymd(i32::MAX, 12, 31).is_err());
+        assert!(Date::from_ymd(i32::MIN, 1, 1).is_err());
+        // The widest years that fit still round-trip.
+        for days in [i32::MAX, i32::MIN] {
+            let (y, m, d) = Date::from_days(days).ymd();
+            assert_eq!(Date::from_ymd(y, m, d).unwrap().days(), days);
+        }
+    }
+
+    #[test]
+    fn canonical_form_reads_every_year_width() {
+        assert_eq!("3/22/20".parse::<Date>().unwrap().ymd(), (2020, 3, 22));
+        assert_eq!("3/22/5".parse::<Date>().unwrap().ymd(), (2005, 3, 22));
+        assert_eq!("03/02/2020".parse::<Date>().unwrap().ymd(), (2020, 3, 2));
+        assert_eq!("1/1/0020".parse::<Date>().unwrap().ymd(), (20, 1, 1));
+        assert_eq!("12/31/999".parse::<Date>().unwrap().ymd(), (999, 12, 31));
+        // Shapes outside the canonical form still take the general path.
+        assert_eq!(" 3/ 22/ 20".parse::<Date>().unwrap().ymd(), (2020, 3, 22));
+        // A sign counts toward the year's width: `+5` is 2005, `+20` is 20.
+        assert_eq!("3/22/+5".parse::<Date>().unwrap().ymd(), (2005, 3, 22));
+        assert_eq!("3/22/+20".parse::<Date>().unwrap().ymd(), (20, 3, 22));
+        assert_eq!("1/1/12345".parse::<Date>().unwrap().ymd(), (12345, 1, 1));
+        for bad in ["1//2020", "/1/2020", "1/1/", "1/1/2020/", "13/1/2020", "1/1/2020x"] {
+            assert!(bad.parse::<Date>().is_err(), "{bad}");
+        }
     }
 
     #[test]

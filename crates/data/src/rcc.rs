@@ -128,14 +128,26 @@ impl fmt::Display for Swlin {
 impl FromStr for Swlin {
     type Err = String;
 
-    /// Parses `DDD-DD-DDD` or a bare 8-digit string.
+    /// Parses `DDD-DD-DDD` or a bare 8-digit string: exactly 8 ASCII
+    /// digits, with any number of `-` anywhere and nothing else. One byte
+    /// pass, no allocation on success.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
-        let seps: usize = s.chars().filter(|&c| c == '-').count();
-        if digits.len() != 8 || (s.len() != digits.len() + seps) {
-            return Err(format!("SWLIN must contain exactly 8 digits: {s:?}"));
+        let bad = || format!("SWLIN must contain exactly 8 digits: {s:?}");
+        let mut packed = 0u32;
+        let mut digits = 0usize;
+        for &b in s.as_bytes() {
+            match b {
+                b'0'..=b'9' if digits < 8 => {
+                    packed = packed * 10 + u32::from(b - b'0');
+                    digits += 1;
+                }
+                b'-' => {}
+                _ => return Err(bad()),
+            }
         }
-        let packed: u32 = digits.parse().map_err(|_| format!("bad SWLIN {s:?}"))?;
+        if digits != 8 {
+            return Err(bad());
+        }
         Swlin::from_packed(packed)
     }
 }

@@ -253,10 +253,14 @@ impl<I: MaintainableIndex> DurableIndex<I> {
     pub fn recover(dir: &Path) -> Result<(Self, RecoveryReport), StorageError> {
         let store = Store::open(dir)?;
         let recovered = store.newest_intact_checkpoint()?;
-        let mut entries = BTreeMap::new();
-        for e in &recovered.checkpoint.entries {
-            entries.insert(e.id, from_checkpoint_entry(e));
-        }
+        // `Checkpoint::decode` rejects ids that do not strictly ascend, so
+        // the map is bulk-built from already sorted, distinct keys.
+        let mut entries: BTreeMap<RowId, StoredRow> = recovered
+            .checkpoint
+            .entries
+            .iter()
+            .map(|e| (e.id, from_checkpoint_entry(e)))
+            .collect();
         let wal_bytes = store.read_wal()?;
         let replayed = domd_storage::replay(&wal_bytes, recovered.checkpoint.epoch);
         let projected: Vec<LogicalRcc> = entries.values().map(|s| s.logical).collect();

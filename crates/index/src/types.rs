@@ -6,7 +6,7 @@
 //! table. All three index designs (naive join, dual AVL, interval tree)
 //! answer the four retrieval sets of Equations 3–6 at a logical timestamp.
 
-use domd_data::avail::AvailId;
+use domd_data::avail::{Avail, AvailId};
 use domd_data::dataset::Dataset;
 use domd_data::rcc::RccStatus;
 use std::cmp::Ordering;
@@ -60,13 +60,23 @@ impl LogicalRcc {
 }
 
 /// Projects every RCC of `dataset` onto its avail's logical timeline.
-/// Row ids are positions in `dataset.rccs()`.
+/// Row ids are positions in `dataset.rccs()`. The rows are sorted by
+/// avail, so the (linear) avail lookup runs once per run of rows of one
+/// avail, not once per row.
 pub fn project_dataset(dataset: &Dataset) -> Vec<LogicalRcc> {
     let rccs = dataset.rccs();
     let mut out = Vec::with_capacity(rccs.len());
+    let mut current: Option<&Avail> = None;
     for (i, r) in rccs.iter().enumerate() {
-        // domd-lint: allow(no-panic) — the generator and loaders only emit RCCs for avails present in the table
-        let a = dataset.avail(r.avail).expect("RCC references existing avail");
+        let a = match current {
+            Some(a) if a.id == r.avail => a,
+            _ => {
+                // domd-lint: allow(no-panic) — the generator and loaders only emit RCCs for avails present in the table
+                let a = dataset.avail(r.avail).expect("RCC references existing avail");
+                current = Some(a);
+                a
+            }
+        };
         let planned = a.planned_duration().max(1);
         let start = domd_data::logical_time(r.created, a.actual_start, planned);
         let end = domd_data::logical_time(r.settled, a.actual_start, planned);

@@ -474,6 +474,20 @@ mod tests {
         }
     }
 
+    /// A year whose day count overflows a `Date` is a typed refusal in
+    /// both ingest forms, never a silently wrapped date.
+    #[test]
+    fn ingest_with_an_overflowing_year_is_a_config_refusal() {
+        for line in [
+            "ingest avail=1 type=NW swlin=123-45-678 created=1/1/7000000 settled=2015-02-01 amount=10",
+            "ingest row=3:NW:123-45-678:2015-01-02:1/1/7000000:10",
+        ] {
+            let e = parse_line(line, 1, 0, 100).unwrap_err();
+            assert_eq!(e.kind(), "config", "{line}");
+            assert!(e.to_string().contains("invalid calendar date 7000000-01-01"), "{line}: {e}");
+        }
+    }
+
     #[test]
     fn status_swlin_depth_outside_1_to_8_is_refused() {
         for line in ["status t=10 swlin=123-45-678:0", "status t=10 swlin=123-45-678:9"] {

@@ -20,9 +20,10 @@
 # * a tiny-scale run of the gbt bench, whose identity gates prove the
 #   branchless kernel bit-identical to the pointer walker before timing;
 # * `domd serve` over the line protocol: one request of every type plus
-#   one malformed line (refused without killing the session), a clean
-#   `quit`, and a second session whose driving process is SIGTERM-killed
-#   mid-stream — the server must see EOF, drain, and still exit 0;
+#   one malformed line and one ingest whose date overflows (each refused
+#   without killing the session), a clean `quit`, and a second session
+#   whose driving process is SIGTERM-killed mid-stream — the server must
+#   see EOF, drain, and still exit 0;
 # * restart: `kill -9` a durable server right after an ack and require
 #   the restarted server to rebuild the acked row from the store alone,
 #   plus a `domd migrate-store` run-through.
@@ -79,6 +80,8 @@ predict avail=1 t=40
 alert t=80 k=3 min=0
 ingest avail=1 type=NW swlin=123-45-678 created=4/1/2015 settled=5/1/2015 amount=1200
 not-a-command
+ingest avail=1 type=NW swlin=123-45-678 created=1/1/7000000 settled=5/1/2015 amount=1200
+status t=60 status=settled
 quit
 EOF
 SERVE_OUT="$(target/release/domd serve --data-dir "$SERVE_DIR" \
@@ -89,6 +92,12 @@ for op in status predict alert ingest; do
 done
 echo "$SERVE_OUT" | grep -q 'err seq=4' || {
   echo "serve smoke: malformed line was not refused" >&2; exit 1; }
+# A created year whose day count overflows is refused on its own line
+# (never stored as a wrapped date), and the session goes on.
+echo "$SERVE_OUT" | grep -q 'err seq=5 .*invalid calendar date' || {
+  echo "serve smoke: overflowing ingest date was not refused" >&2; exit 1; }
+echo "$SERVE_OUT" | grep -q 'ok seq=6 .*op=status' || {
+  echo "serve smoke: session did not go on after the refused ingest" >&2; exit 1; }
 # Killed-driver shutdown: SIGTERM the writer mid-session; the server must
 # treat the closed pipe as EOF, drain, and exit 0.
 SERVE_FIFO="$SERVE_DIR/in.fifo"
